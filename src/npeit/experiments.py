@@ -5,19 +5,17 @@ output directory, runs one study, writes one CSV file, and returns the
 in-memory result.  All numeric CSV output uses full round-trip precision
 (17 significant digits) and the files are byte-identical across reruns of
 the same config: nothing here is sampled, perturbation ladders are
-enumerated, and concurrent ladder evaluation is joined in index order.
+enumerated, and every ladder is evaluated serially in index order.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.stats
 
 from .config import ExperimentConfig
 from .disk_oracle import (oracle_limit_trace_coefficient,
@@ -29,8 +27,8 @@ from .geometry import (InclusionScene, distance_to_boundary,
 from .layers import SceneOperators, build_scene_operators
 from .spectrum import NPSpectrum, solve_spectrum
 from .transmission import (ExpansionResult, expansion_coefficients,
-                           gradient_bound, solve_limit, solve_transmission,
-                           trace_constant, trace_distance)
+                           solve_limit, solve_transmission, trace_constant,
+                           trace_distance)
 
 __all__ = [
     "SWEEP_HEADER",
@@ -43,6 +41,7 @@ __all__ = [
     "StabilityRow",
     "build_operators",
     "format_number",
+    "rank_correlation",
     "run_expansion",
     "run_oracle_check",
     "run_spectrum",
@@ -61,8 +60,6 @@ ORACLE_HEADER = "check,value,bound,status"
 
 #: traces closer than this admit a finite triple-log reference value
 TRIPLE_LOG_THRESHOLD = math.exp(-math.e)
-
-_MAX_WORKERS = 8
 
 
 def format_number(x) -> str:
@@ -143,46 +140,31 @@ def run_sweep(config: ExperimentConfig, out_dir,
     ops_b = build_operators(config, against) if against is not None else None
     ks = config.k_ladder()
 
-    def point(k: float):
-        tr = solve_transmission(ops, f, k).outer_trace()
-        d_dir = trace_distance(outer, tr, grounded.trace)
-        d_con = trace_distance(outer, tr, conductor.trace)
-        ratio = gradient_bound(ops, f, k, limit=bound_limit, c0=c0).ratio
-        gap = 0.0
-        if ops_b is not None:
-            tr_b = solve_transmission(ops_b, f, k).outer_trace()
-            gap = trace_distance(outer, tr, tr_b)
-        return d_dir, d_con, ratio, gap
-
     path = Path(out_dir) / "sweep.csv"
     rows: list = []
-    d_dir_all, d_con_all, ratio_all, gap_all = [], [], [], []
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, len(ks))) as pool:
-        futures = [pool.submit(point, k) for k in ks]
-        for k, future in zip(ks, futures):
-            try:
-                d_dir, d_con, ratio, gap = future.result()
-            except (SolverError, ConditioningError) as exc:
-                rows.append(f"# aborted: {exc}")
-                _write_csv(path, SWEEP_HEADER, rows)
-                log.error("sweep aborted at k=%g after %d rows: %s",
-                          k, len(rows) - 1, exc)
-                raise
-            rows.append((format_number(k), format_number(d_dir),
-                         format_number(d_con), format_number(ratio)))
-            d_dir_all.append(d_dir)
-            d_con_all.append(d_con)
-            ratio_all.append(ratio)
-            gap_all.append(gap)
+    points = []  # (d_dir, d_con, ratio, gap) per ladder point
+    for k in ks:
+        try:
+            sol = solve_transmission(ops, f, k)
+            tr = sol.outer_trace()
+            gap = 0.0 if ops_b is None else trace_distance(
+                outer, tr, solve_transmission(ops_b, f, k).outer_trace())
+            points.append((trace_distance(outer, tr, grounded.trace),
+                           trace_distance(outer, tr, conductor.trace),
+                           sol.gradient_bound(bound_limit, c0).ratio, gap))
+        except (SolverError, ConditioningError) as exc:
+            rows.append(f"# aborted: {exc}")
+            _write_csv(path, SWEEP_HEADER, rows)
+            log.error("sweep aborted at k=%g after %d rows: %s",
+                      k, len(rows) - 1, exc)
+            raise
+        rows.append(tuple(map(format_number, (k, *points[-1][:3]))))
     _write_csv(path, SWEEP_HEADER, rows)
-    return SweepResult(
-        ks=tuple(ks),
-        dist_dirichlet=tuple(d_dir_all),
-        dist_conductor=tuple(d_con_all),
-        grad_ratio=tuple(ratio_all),
-        slope=_fit_tail_slope(ks, d_dir_all),
-        lam=max(gap_all) if ops_b is not None else None,
-    )
+    d_dir, d_con, ratio, gap = map(tuple, zip(*points))
+    return SweepResult(ks=tuple(ks), dist_dirichlet=d_dir,
+                       dist_conductor=d_con, grad_ratio=ratio,
+                       slope=_fit_tail_slope(ks, d_dir),
+                       lam=max(gap) if ops_b is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +247,27 @@ def triple_log_reference(lam: float) -> float:
 
 def _ladder_trace_gap(ops_a: SceneOperators, ops_b: SceneOperators,
                       f: np.ndarray, ks) -> float:
-    outer = ops_a.scene.outer
+    return float(max(trace_distance(ops_a.scene.outer,
+                                    solve_transmission(ops_a, f, k).outer_trace(),
+                                    solve_transmission(ops_b, f, k).outer_trace())
+                     for k in ks))
 
-    def gap(k: float) -> float:
-        return trace_distance(outer,
-                              solve_transmission(ops_a, f, k).outer_trace(),
-                              solve_transmission(ops_b, f, k).outer_trace())
 
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, len(ks))) as pool:
-        return float(max(pool.map(gap, ks)))
+def rank_correlation(x, y) -> float:
+    """Spearman rank correlation: the Pearson correlation of the average
+    ranks (ties share their mean rank); nan for constant or nan input."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if np.isnan(x).any() or np.isnan(y).any():
+        return math.nan
+    ranks = []
+    for values in (x, y):
+        _, inverse, counts = np.unique(values, return_inverse=True,
+                                       return_counts=True)
+        r = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
+        ranks.append(r - r.mean())
+    rx, ry = ranks
+    denom = math.sqrt(float(rx @ rx) * float(ry @ ry))
+    return float(rx @ ry) / denom if denom > 0 else math.nan
 
 
 def _warn_if_separated(pair_id: int, a, b) -> None:
@@ -324,8 +318,7 @@ def run_stability(config: ExperimentConfig, out_dir) -> list[StabilityRow]:
                  format_number(r.lam), format_number(r.reference))
                 for r in rows])
     if len(rows) >= 2:
-        rho = scipy.stats.spearmanr([r.d_h for r in rows],
-                                    [r.lam for r in rows]).statistic
+        rho = rank_correlation([r.d_h for r in rows], [r.lam for r in rows])
         if math.isfinite(rho) and rho <= 0:
             raise AssertionError(
                 "stability association violated: Spearman correlation "

@@ -474,7 +474,7 @@ def _interior_candidates(region):
     return []
 
 
-def _directed_hausdorff(a, b) -> float:
+def _directed_boundary(a, b) -> float:
     # disk-disk pairs have a closed form; keep them exact
     if (isinstance(a, BoundaryCurve) and a.kind == "circle"
             and isinstance(b, BoundaryCurve) and b.kind == "circle"):
@@ -484,24 +484,17 @@ def _directed_hausdorff(a, b) -> float:
     for c in _region_curves(a):
         for node in c.nodes:
             best = max(best, region_distance(node, b))
+    return best
+
+
+def _directed_hausdorff(a, b) -> float:
+    best = _directed_boundary(a, b)
     for cand in _interior_candidates(b):
         try:
             if _in_region(a, cand):
                 best = max(best, region_distance(cand, b))
         except IndeterminatePointError:
             best = max(best, region_distance(cand, b))
-    return best
-
-
-def _directed_boundary(a, b) -> float:
-    if (isinstance(a, BoundaryCurve) and a.kind == "circle"
-            and isinstance(b, BoundaryCurve) and b.kind == "circle"):
-        dc = float(np.hypot(*(a.center - b.center)))
-        return max(0.0, dc + a.params[0] - b.params[0])
-    best = 0.0
-    for c in _region_curves(a):
-        for node in c.nodes:
-            best = max(best, region_distance(node, b))
     return best
 
 

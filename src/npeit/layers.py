@@ -22,18 +22,21 @@ values, quadrature weights folded in) and "hat" (conjugated by the square
 root of the weights), in which ``S`` is exactly symmetric and adjoints
 are exact transposes.  The mean-free constraint is handled by an
 orthonormal basis of the hat subspace orthogonal to the weight vector.
+What does not depend on the conductivity is built once, on first use.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import EvaluationDomainError
 from .geometry import BoundaryCurve, InclusionScene, distance_to_boundary
-from .green import make_green
+from .green import InteriorNeumannSolver, NumericGreen, make_green
 from .quadrature import (
     free_adjoint_double_layer_self,
     free_single_layer_eval,
@@ -108,11 +111,11 @@ class SceneOperators:
         return self.scene.inclusion
 
     def hat(self, g: np.ndarray) -> np.ndarray:
-        """Nodal values to hat coordinates."""
-        return self.sqrt_w * g
+        """Nodal values (a vector or columns) to hat coordinates."""
+        return (self.sqrt_w * np.asarray(g).T).T
 
     def unhat(self, g_hat: np.ndarray) -> np.ndarray:
-        return g_hat / self.sqrt_w
+        return (np.asarray(g_hat).T / self.sqrt_w).T
 
     def project_mean_free(self, g: np.ndarray) -> np.ndarray:
         """Remove the weighted mean from nodal values."""
@@ -162,9 +165,48 @@ class SceneOperators:
                               float(constant))
 
     def outer_trace(self, g: np.ndarray) -> np.ndarray:
-        """Trace of the potential of ``g`` on the outer-boundary nodes."""
-        src = self.curve
-        return self.green.outer_trace_kernel(src.nodes) @ (g * src.weights)
+        """Trace of the potential of ``g`` (a vector or columns) on the
+        outer-boundary nodes."""
+        return self.outer_trace_matrix @ g
+
+    # -- per-operator-set members, built on first use -------------------------
+
+    @cached_property
+    def outer_trace_matrix(self) -> np.ndarray:
+        """Outer-node trace per nodal density value (weights folded in)."""
+        return self.green.outer_trace_kernel(self.curve.nodes) * self.curve.weights
+
+    @cached_property
+    def reduced_kstar(self) -> np.ndarray:
+        """``p^T K*_hat p`` in mean-free hat coordinates."""
+        return self.mean_free.T @ self.kstar_hat @ self.mean_free
+
+    @cached_property
+    def pencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(mu, Y, Y^T B)`` of ``A y = mu B y``, ``A = p^T S K* p``
+        (symmetrized), ``B = p^T S p``; on mean-free densities
+        ``(lam - K*)^{-1} = Y diag(1/(lam - mu)) Y^T B``."""
+        p = self.mean_free
+        a = p.T @ (self.s_hat @ self.kstar_hat) @ p
+        b = p.T @ self.s_hat @ p
+        mu, y = scipy.linalg.eigh(0.5 * (a + a.T), b)
+        return mu, y, y.T @ b
+
+    @cached_property
+    def neumann(self) -> InteriorNeumannSolver:
+        """Interior Neumann solver on the outer curve."""
+        if isinstance(self.green, NumericGreen):
+            return self.green.neumann
+        return InteriorNeumannSolver(self.scene.outer)
+
+    @cached_property
+    def background_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Inclusion-node values and normal derivatives of a free single
+        layer on the outer curve, per outer density value."""
+        outer, curve = self.scene.outer, self.curve
+        grad = free_single_layer_gradient(outer, curve.nodes)
+        return (free_single_layer_eval(outer, curve.nodes),
+                np.einsum("pjd,pd->pj", grad, curve.normals))
 
 
 def build_scene_operators(scene: InclusionScene, green=None,
@@ -254,8 +296,3 @@ class PotentialField:
                          self.green.correction_gradient_x(pts, self.source.nodes),
                          self.density * self.source.weights)
         return free + corr
-
-    def outer_trace(self) -> np.ndarray:
-        """Trace on the outer-boundary nodes."""
-        gw = self.density * self.source.weights
-        return self.green.outer_trace_kernel(self.source.nodes) @ gw + self.constant

@@ -21,7 +21,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .layers import SceneOperators
 
@@ -127,10 +126,7 @@ def solve_spectrum(ops: SceneOperators, n_modes: int | None = None) -> NPSpectru
         n_modes = cap
 
     p = ops.mean_free
-    a = p.T @ (ops.s_hat @ ops.kstar_hat) @ p
-    a = 0.5 * (a + a.T)
-    b = p.T @ ops.s_hat @ p
-    mu_vals, y = scipy.linalg.eigh(a, b)  # columns are B-orthonormal
+    mu_vals, y, _ = ops.pencil  # columns are B-orthonormal
 
     modes: list[SpectralMode] = []
     order = {"+": [], "-": [], "0": []}
@@ -141,8 +137,7 @@ def solve_spectrum(ops: SceneOperators, n_modes: int | None = None) -> NPSpectru
     for fam in ("+", "-", "0"):
         idx = sorted(order[fam], key=lambda i: -abs(lam_vals[i]))[:n_modes]
         for rank, i in enumerate(idx, start=1):
-            g_hat = p @ y[:, i]
-            g_hat = _fix_sign(g_hat)
+            g_hat = _fix_sign(p @ y[:, i])
             g = ops.unhat(g_hat)
             resid_vec = ops.kstar_hat @ g_hat - mu_vals[i] * g_hat
             residual = float(np.sqrt(max(resid_vec @ (ops.s_hat @ resid_vec), 0.0)))
@@ -154,8 +149,5 @@ def solve_spectrum(ops: SceneOperators, n_modes: int | None = None) -> NPSpectru
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
-    thresh = 1e-8 * np.max(np.abs(v))
-    for x in v:
-        if abs(x) > thresh:
-            return v if x > 0 else -v
-    return v
+    first = v[np.argmax(np.abs(v) > 1e-8 * np.max(np.abs(v)))]
+    return -v if first < 0 else v

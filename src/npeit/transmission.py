@@ -36,7 +36,6 @@ import scipy.linalg
 
 from .exceptions import SolverError
 from .geometry import InclusionScene
-from .green import InteriorNeumannSolver
 from .layers import PotentialField, SceneOperators
 from .quadrature import free_single_layer_eval, free_single_layer_gradient
 from .spectrum import NPSpectrum
@@ -78,6 +77,7 @@ class BackgroundField:
     compatibility requires mean-free data, so the boundary mean of the
     supplied ``f`` is removed before solving and reported in
     ``removed_mean``; ``f`` stores the projected data actually used.
+    For columns of data every array holds one column per load.
     """
 
     scene: InclusionScene
@@ -85,6 +85,8 @@ class BackgroundField:
     psi: np.ndarray = field(repr=False)
     constant: float
     trace: np.ndarray = field(repr=False)  # zero-mean values on outer nodes
+    values: np.ndarray = field(repr=False)  # on the inclusion nodes,
+    flux: np.ndarray = field(repr=False)  # and the normal derivative there
     removed_mean: float = 0.0
 
     def evaluate(self, points) -> np.ndarray:
@@ -100,44 +102,33 @@ class BackgroundField:
                          self.psi)
 
     def inclusion_values(self) -> np.ndarray:
-        return self.evaluate(self.scene.inclusion.nodes)
+        return self.values
 
     def inclusion_flux(self) -> np.ndarray:
         """Normal derivative on the inclusion nodes."""
-        grad = self.gradient(self.scene.inclusion.nodes)
-        return np.einsum("pd,pd->p", grad, self.scene.inclusion.normals)
+        return self.flux
 
 
 def solve_background(ops: SceneOperators, f: np.ndarray) -> BackgroundField:
-    """Solve the inclusion-free problem, projecting ``f`` to zero mean."""
-    scene = ops.scene
-    outer = scene.outer
+    """Solve the inclusion-free problem, projecting ``f`` (a vector or
+    columns) to zero mean."""
+    outer = ops.scene.outer
     f = np.asarray(f, dtype=float)
-    removed = float(outer.weights @ f) / outer.length()
+    removed = (outer.weights @ f) / outer.length()
     h = f - removed
-    neumann = _outer_neumann(ops)
-    psi_cols, border = neumann.solve(h / scene.k0)
-    psi = psi_cols[:, 0]
+    psi, border = ops.neumann.solve(h / ops.scene.k0)
     if np.max(np.abs(border)) > 1e-8 * max(1.0, float(np.max(np.abs(h)))):
         raise SolverError(
             f"background solve compatibility defect {float(np.max(np.abs(border))):.3e}"
         )
-    raw_trace = neumann.s_self @ psi
-    constant = -float(outer.weights @ raw_trace) / outer.length()
-    return BackgroundField(scene=scene, f=h, psi=psi, constant=constant,
-                           trace=raw_trace + constant, removed_mean=removed)
-
-
-def _outer_neumann(ops: SceneOperators) -> InteriorNeumannSolver:
-    """One interior Neumann solver per operator set, built lazily (the
-    numeric outer kernel already owns one)."""
-    solver = getattr(ops.green, "neumann", None)
-    if solver is None:
-        solver = getattr(ops, "_neumann_cache", None)
-        if solver is None:
-            solver = InteriorNeumannSolver(ops.scene.outer)
-            ops._neumann_cache = solver
-    return solver
+    psi = psi.reshape(h.shape)
+    raw_trace = ops.neumann.s_self @ psi
+    constant = -(outer.weights @ raw_trace) / outer.length()
+    values_map, flux_map = ops.background_maps
+    return BackgroundField(scene=ops.scene, f=h, psi=psi, constant=constant,
+                           trace=raw_trace + constant,
+                           values=values_map @ psi + constant,
+                           flux=flux_map @ psi, removed_mean=removed)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +191,35 @@ class TransmissionSolution:
         inner_part = scene.inclusion.weights @ (self.phi * self.inclusion_trace())
         return float(outer_part - inner_part)
 
+    def gradient_bound(self, limit: "LimitSolution",
+                       c0: float) -> "GradientBound":
+        """:func:`gradient_bound` of this solution against the grounded
+        ``limit`` of its mean-free data, with trace constant ``c0``."""
+        if limit.beta != 0.0:
+            raise ValueError("gradient bound needs the grounded limit of the "
+                             "mean-free projection (zero net flux)")
+        ops, scene = self.ops, self.scene
+        w_d = scene.inclusion.weights
+        tr_u = self.inclusion_trace()
+        # int_D |grad u|^2 = oint u (du/dnu)|- on the inclusion boundary
+        e_inc = float(w_d @ (tr_u * self.side_flux(-1)))
+        # int_annulus |grad v|^2 = -oint v (dv/dnu)|+ : the outer term
+        # vanishes (equal Neumann data) and additive constants drop against
+        # the flux difference, whose net integral is zero
+        flux_lim = limit.background.inclusion_flux() + ops.side_flux(limit.psi, +1)
+        e_ann = -float(w_d @ (tr_u * (self.side_flux(+1) - flux_lim)))
+
+        h = self.background.f
+        return GradientBound(
+            k=self.k,
+            k0=scene.k0,
+            inclusion_gradient=math.sqrt(max(e_inc, 0.0)),
+            annulus_gradient=math.sqrt(max(e_ann, 0.0)),
+            limit_gradient=math.sqrt(max(limit.annulus_gradient_energy(), 0.0)),
+            data_norm=float(np.sqrt(scene.outer.weights @ h**2)),
+            c0=float(c0),
+        )
+
 
 def contrast_parameter(k: float, k0: float) -> float:
     """``lambda = (k + k0) / (2 (k - k0))`` (infinite at ``k = k0``)."""
@@ -222,31 +242,36 @@ def solve_transmission(ops: SceneOperators, f: np.ndarray,
     scene = ops.scene
     background = solve_background(ops, f)
     lam = contrast_parameter(k, scene.k0)
-    n = ops.curve.n
     if math.isinf(lam):
-        return TransmissionSolution(ops=ops, k=float(k), lam=lam,
-                                    background=background, phi=np.zeros(n))
-    if abs(lam) - 0.5 < _RESONANCE_MARGIN:
-        log.warning("contrast parameter %.12g is within %.1e of the "
-                    "essential spectrum edge 1/2; the solve may lose accuracy",
-                    lam, _RESONANCE_MARGIN)
-    rhs = background.inclusion_flux()
-    phi = _solve_second_kind(ops, lam, rhs)
+        phi = np.zeros(ops.curve.n)
+    else:
+        if abs(lam) - 0.5 < _RESONANCE_MARGIN:
+            log.warning("contrast parameter %.12g is within %.1e of the "
+                        "essential spectrum edge 1/2; the solve may lose "
+                        "accuracy", lam, _RESONANCE_MARGIN)
+        phi = _solve_second_kind(ops, lam, background.inclusion_flux())
     return TransmissionSolution(ops=ops, k=float(k), lam=lam,
                                 background=background, phi=phi)
 
 
 def _solve_second_kind(ops: SceneOperators, lam: float,
                        rhs_plain: np.ndarray) -> np.ndarray:
-    """Solve ``(lam I - K*) phi = rhs`` on the mean-free subspace."""
+    """Solve ``(lam I - K*) phi = rhs`` (a vector or columns) on the
+    mean-free subspace with the resolvent of the cached pencil.
+
+    That resolvent assumes ``K*`` keeps the mean-free subspace invariant,
+    true to quadrature accuracy; one refinement step against the reduced
+    operator ``p^T K* p`` removes the defect."""
     p = ops.mean_free
-    rhs_hat = p.T @ ops.hat(rhs_plain)
-    reduced = lam * np.eye(p.shape[1]) - p.T @ ops.kstar_hat @ p
-    try:
-        sol = scipy.linalg.solve(reduced, rhs_hat)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SolverError(f"second-kind solve failed at lambda={lam}") from exc
-    return ops.unhat(p @ sol)
+    mu, y, left = ops.pencil
+    if np.any(mu == lam):  # pragma: no cover
+        raise SolverError(f"second-kind solve failed at lambda={lam}")
+    scale = (1.0 / (lam - mu))[:, None]
+    rhs = (p.T @ ops.hat(rhs_plain)).reshape(len(mu), -1)
+    sol = y @ (scale * (left @ rhs))
+    resid = rhs - (lam * sol - ops.reduced_kstar @ sol)
+    sol = sol + y @ (scale * (left @ resid))
+    return ops.unhat(p @ sol).reshape(np.shape(rhs_plain))
 
 
 # ---------------------------------------------------------------------------
@@ -390,29 +415,18 @@ def trace_constant(ops: SceneOperators, n_harmonics: int = 12) -> float:
             sigma = min(sigma, (m / rho) * (1 - s ** (2 * m)) / (1 + s ** (2 * m)))
         return 1.0 / math.sqrt(sigma)
 
-    loads = []
-    for m in range(1, n_harmonics + 1):
-        loads.append(np.cos(m * outer.t))
-        loads.append(np.sin(m * outer.t))
-    w = outer.weights
-    traces = []
-    for g in loads:
-        bg = solve_background(ops, scene.k0 * g)
-        # cancel the inclusion flux: exterior-side layer flux is
-        # (1/2 + K*) psi, i.e. the lam = -1/2 second-kind problem
-        psi = _solve_second_kind(ops, -0.5, bg.inclusion_flux())
-        traces.append(bg.trace + ops.outer_trace(psi))
-    traces = np.column_stack(traces)
-    k = len(loads)
-    e = np.empty((k, k))
-    t_gram = np.empty((k, k))
-    for p in range(k):
-        for q in range(k):
-            e[p, q] = w @ (loads[p] * traces[:, q])
-            t_gram[p, q] = w @ (traces[:, p] * traces[:, q])
-    e = 0.5 * (e + e.T)
-    t_gram = 0.5 * (t_gram + t_gram.T)
-    theta = scipy.linalg.eigh(t_gram, e, eigvals_only=True)
+    # cos(m t), sin(m t) for m = 1 .. n_harmonics, one load per column
+    mt = np.outer(outer.t, np.arange(1, n_harmonics + 1))
+    loads = np.stack([np.cos(mt), np.sin(mt)], axis=2).reshape(outer.n, -1)
+    bg = solve_background(ops, scene.k0 * loads)
+    # cancel the inclusion flux: exterior-side layer flux is
+    # (1/2 + K*) psi, i.e. the lam = -1/2 second-kind problem
+    psi = _solve_second_kind(ops, -0.5, bg.inclusion_flux())
+    traces = bg.trace + ops.outer_trace(psi)
+    weighted = outer.weights[:, None] * traces
+    e, t_gram = loads.T @ weighted, traces.T @ weighted
+    theta = scipy.linalg.eigh(0.5 * (t_gram + t_gram.T), 0.5 * (e + e.T),
+                              eigvals_only=True)
     return 1.5 * math.sqrt(float(np.max(theta)))
 
 
@@ -459,38 +473,12 @@ def gradient_bound(ops: SceneOperators, f: np.ndarray, k: float,
     part of ``grad v`` is that of ``u(k)`` alone; both Dirichlet
     energies come from boundary identities (no volume quadrature).
     """
-    scene = ops.scene
-    curve = scene.inclusion
     sol = solve_transmission(ops, f, k)
-    h = sol.background.f
     if limit is None:
-        limit = solve_limit(ops, h, "grounded")
-    elif limit.beta != 0.0:
-        raise ValueError("gradient bound needs the grounded limit of the "
-                         "mean-free projection (zero net flux)")
+        limit = solve_limit(ops, sol.background.f, "grounded")
     if c0 is None:
         c0 = trace_constant(ops)
-
-    tr_u = sol.inclusion_trace()
-    w_d = curve.weights
-    # int_D |grad u|^2 = oint u (du/dnu)|- on the inclusion boundary
-    e_inc = float(w_d @ (tr_u * sol.side_flux(-1)))
-    # int_annulus |grad v|^2 = -oint v (dv/dnu)|+ : the outer term
-    # vanishes (equal Neumann data) and additive constants drop against
-    # the flux difference, whose net integral is zero
-    flux_lim = limit.background.inclusion_flux() + ops.side_flux(limit.psi, +1)
-    e_ann = -float(w_d @ (tr_u * (sol.side_flux(+1) - flux_lim)))
-
-    data_norm = float(np.sqrt(scene.outer.weights @ h**2))
-    return GradientBound(
-        k=float(k),
-        k0=scene.k0,
-        inclusion_gradient=math.sqrt(max(e_inc, 0.0)),
-        annulus_gradient=math.sqrt(max(e_ann, 0.0)),
-        limit_gradient=math.sqrt(max(limit.annulus_gradient_energy(), 0.0)),
-        data_norm=data_norm,
-        c0=float(c0),
-    )
+    return sol.gradient_bound(limit, c0)
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +505,11 @@ def derivative_ladder(ops: SceneOperators, f: np.ndarray, k: float,
         raise ValueError("derivatives require k != k0 (the map is analytic "
                          "there but this ladder parameterizes by lambda)")
     sol = solve_transmission(ops, f, k)
-    lam = sol.lam
     phis: list[np.ndarray] = []
     inner_flux = sol.side_flux(-1)
     for j in range(1, j_max + 1):
-        rhs = (j / (k - k0)) * inner_flux
-        phi_j = _solve_second_kind(ops, lam, rhs)
-        phis.append(phi_j)
-        inner_flux = ops.side_flux(phi_j, -1)
+        phis.append(_solve_second_kind(ops, sol.lam, (j / (k - k0)) * inner_flux))
+        inner_flux = ops.side_flux(phis[-1], -1)
     return sol, phis
 
 

@@ -12,7 +12,11 @@ Pinned behavior:
 """
 
 import math
+import subprocess
+import sys
 import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +30,9 @@ from npeit.exceptions import ConfigError, SolverError
 from npeit.experiments import (EXPANSION_HEADER, ORACLE_HEADER,
                                SPECTRUM_HEADER, STABILITY_HEADER,
                                SWEEP_HEADER, TRIPLE_LOG_THRESHOLD,
-                               format_number, run_expansion,
-                               run_oracle_check, run_spectrum,
-                               run_stability, run_sweep,
+                               format_number, rank_correlation,
+                               run_expansion, run_oracle_check,
+                               run_spectrum, run_stability, run_sweep,
                                triple_log_reference)
 
 MINI_SCENE = """
@@ -515,3 +519,65 @@ dir = {tmp_path / "nested" / "results"}
             assert cli.main([name, "--config", str(cfg),
                              "--out", str(out)]) == 0, name
             assert (out / artifact).exists()
+
+
+# ---------------------------------------------------------------------------
+# serial drivers and the rank correlation
+# ---------------------------------------------------------------------------
+
+class TestSerialDrivers:
+    def test_every_transmission_solve_runs_on_the_main_thread(
+            self, tmp_path, monkeypatch):
+        real = experiments.solve_transmission
+        on_main = []
+
+        def recording(ops, f, k):
+            on_main.append(threading.current_thread()
+                           is threading.main_thread())
+            return real(ops, f, k)
+
+        monkeypatch.setattr(experiments, "solve_transmission", recording)
+        run_sweep(parse_config(MINI_SCENE), tmp_path)
+        assert len(on_main) == 4
+        run_sweep(parse_config(MINI_SCENE), tmp_path,
+                  against="circle 0.1 0 0.4")
+        assert len(on_main) == 4 + 2 * 4
+        run_stability(parse_config(TANGENT_LADDER), tmp_path)
+        assert len(on_main) == 12 + 3 * 2 * 3
+        assert all(on_main)
+
+
+class TestRankCorrelation:
+    def test_hand_ranked_cases(self):
+        assert rank_correlation([1, 2, 3, 4], [10, 20, 30, 40]) == \
+            pytest.approx(1.0, abs=1e-15)
+        assert rank_correlation([1, 2, 3], [0.3, 0.2, 0.1]) == \
+            pytest.approx(-1.0, abs=1e-15)
+        # ranks (1, 2.5, 2.5, 4) against (1, 2, 3, 4): 4.5 / sqrt(4.5 * 5)
+        assert rank_correlation([1, 2, 2, 3], [1, 2, 3, 4]) == \
+            pytest.approx(3.0 / math.sqrt(10.0), abs=1e-15)
+        # ties on both sides: ranks (4, 1, 2.5, 2.5, 5) against
+        # (1.5, 1.5, 3, 4.5, 4.5), centered dot 3.75 over sqrt(9.5 * 9)
+        assert rank_correlation([3, 1, 2, 2, 5], [1, 1, 2, 3, 3]) == \
+            pytest.approx(3.75 / math.sqrt(85.5), abs=1e-15)
+
+    def test_constant_or_nan_input_is_nan(self):
+        assert math.isnan(rank_correlation([1, 1, 1], [1, 2, 3]))
+        assert math.isnan(rank_correlation([1, 2, 3], [0.5, 0.5, 0.5]))
+        assert math.isnan(rank_correlation([1, 2, math.nan], [1, 2, 3]))
+
+    def test_matches_scipy_spearman(self):
+        import scipy.stats
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 5, 12).astype(float)
+        y = x + rng.integers(-2, 3, 12)
+        assert rank_correlation(x, y) == pytest.approx(
+            scipy.stats.spearmanr(x, y).statistic, abs=1e-14)
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, %r); import npeit.cli; "
+                "print('scipy.stats' in sys.modules)" % src)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
