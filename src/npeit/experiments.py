@@ -272,8 +272,8 @@ def rank_correlation(x, y) -> float:
 
 def _warn_if_separated(pair_id: int, a, b) -> None:
     tol = 3.0 * max(a.max_spacing(), b.max_spacing())
-    gap = min(min(distance_to_boundary(b, x) for x in a.nodes),
-              min(distance_to_boundary(a, x) for x in b.nodes))
+    gap = min(float(np.min(distance_to_boundary(b, a.nodes))),
+              float(np.min(distance_to_boundary(a, b.nodes))))
     if gap > tol:
         log.warning(
             "stability pair %d: inclusion boundaries do not touch "

@@ -114,6 +114,10 @@ class BoundaryCurve:
         """Largest arc length attached to a single node."""
         return float(np.max(self.weights))
 
+    def mean(self, values):
+        """Arc-length mean of nodal values (a vector or columns)."""
+        return (self.weights @ values) / self.length()
+
     # -- pointwise parametric data ------------------------------------------
 
     def point(self, t):
@@ -126,35 +130,54 @@ class BoundaryCurve:
 
     # -- point classification -------------------------------------------------
 
-    def contains(self, x) -> bool:
-        """True iff ``x`` lies strictly inside the curve.
+    def locate(self, pts):
+        """Distances of a ``(P, 2)`` point array to the curve, strict-inside
+        flags, and flags of the points too close to classify (see
+        :meth:`contains`)."""
+        d = distance_to_boundary(self, pts)
+        return (d, _contains_analytic(self, pts),
+                d <= self.max_spacing() * _INSIDE_GUARD_FACTOR)
 
-        Raises
-        ------
-        IndeterminatePointError
-            If ``x`` is within ``max_spacing * 1e-8`` of the curve; points
-            that close to the discrete boundary are not classified.
-        """
+    def contains(self, x):
+        """True iff ``x`` lies strictly inside the curve (one flag per row
+        of a ``(P, 2)`` array).  Raises IndeterminatePointError for the
+        first point within ``max_spacing * 1e-8`` of the curve: points that
+        close to the discrete boundary are not classified."""
         x = np.asarray(x, dtype=float)
-        d = distance_to_boundary(self, x)
-        if d <= self.max_spacing() * _INSIDE_GUARD_FACTOR:
+        pts = x.reshape(-1, 2)
+        d, inside, unsure = self.locate(pts)
+        if unsure.any():
+            i = int(np.argmax(unsure))
             raise IndeterminatePointError(
-                f"point {tuple(x)} is within {d:.3e} of the curve; "
+                f"point {tuple(pts[i])} is within {d[i]:.3e} of the curve; "
                 "inside/outside is indeterminate at this resolution"
             )
-        return _contains_analytic(self, x)
+        return bool(inside[0]) if x.ndim == 1 else inside
+
+
+def _require_inside(curve: BoundaryCurve, pts, message: str) -> None:
+    # raises as a loop of ``curve.contains`` over ``pts`` would
+    _, inside, unsure = curve.locate(pts)
+    bad = unsure | ~inside
+    if bad.any() and not curve.contains(pts[int(np.argmax(bad))]):
+        raise CurveError(message)
+
+
+def _radius(t, r0, terms):
+    rho = np.full_like(t, r0, dtype=float)
+    for m, a, b in terms:
+        rho += a * np.cos(m * t) + b * np.sin(m * t)
+    return rho
 
 
 def _radius_series(t, r0, terms):
-    rho = np.full_like(t, r0, dtype=float)
     d1 = np.zeros_like(t)
     d2 = np.zeros_like(t)
     for m, a, b in terms:
         c, s = np.cos(m * t), np.sin(m * t)
-        rho += a * c + b * s
         d1 += m * (-a * s + b * c)
         d2 += m * m * (-a * c - b * s)
-    return rho, d1, d2
+    return _radius(t, r0, terms), d1, d2
 
 
 def _eval_point(kind, center, params, t):
@@ -166,8 +189,8 @@ def _eval_point(kind, center, params, t):
         return center + np.column_stack([a * np.cos(t), b * np.sin(t)])
     if kind == "star":
         r0, terms = params
-        rho, _, _ = _radius_series(t, r0, terms)
-        return center + rho[:, None] * np.column_stack([np.cos(t), np.sin(t)])
+        return center + _radius(t, r0, terms)[:, None] * np.column_stack(
+            [np.cos(t), np.sin(t)])
     raise CurveError(f"unknown curve kind {kind!r}")
 
 
@@ -259,8 +282,7 @@ def make_star(center, r0: float, terms, n: int) -> BoundaryCurve:
     curve = _build_curve("star", center, (float(r0), tuple(norm_terms)), n)
     # dense positivity check beyond the build nodes
     tt = 2.0 * np.pi * np.arange(4096) / 4096
-    rho, _, _ = _radius_series(tt, r0, norm_terms)
-    if np.min(rho) <= 0:
+    if np.min(_radius(tt, r0, norm_terms)) <= 0:
         raise CurveError("star radius becomes non-positive between nodes")
     return curve
 
@@ -353,18 +375,18 @@ def curve_spec_string(curve: BoundaryCurve) -> str:
 # point classification and distances
 # ---------------------------------------------------------------------------
 
-def _contains_analytic(curve: BoundaryCurve, x) -> bool:
+def _contains_analytic(curve: BoundaryCurve, x):
+    # strict-inside flags from the exact parameterization (point or rows)
     dx = np.asarray(x, dtype=float) - curve.center
     if curve.kind == "circle":
         (r,) = curve.params
-        return float(np.hypot(*dx)) < r
+        return np.hypot(dx[..., 0], dx[..., 1]) < r
     if curve.kind == "ellipse":
         a, b = curve.params
-        return (dx[0] / a) ** 2 + (dx[1] / b) ** 2 < 1.0
+        return (dx[..., 0] / a) ** 2 + (dx[..., 1] / b) ** 2 < 1.0
     r0, terms = curve.params
-    theta = math.atan2(dx[1], dx[0])
-    rho, _, _ = _radius_series(np.array([theta]), r0, terms)
-    return float(np.hypot(*dx)) < rho[0]
+    theta = np.arctan2(dx[..., 1], dx[..., 0])
+    return np.hypot(dx[..., 0], dx[..., 1]) < _radius(theta, r0, terms)
 
 
 def winding_number(curve: BoundaryCurve, x) -> int:
@@ -385,43 +407,57 @@ def contains(curve: BoundaryCurve, x) -> bool:
     return curve.contains(x)
 
 
-def distance_to_boundary(curve: BoundaryCurve, x) -> float:
-    """Distance from a point to the curve.
+def distance_to_boundary(curve: BoundaryCurve, x):
+    """Distance from a point, or per row of a ``(P, 2)`` array, to the curve.
 
     Exact for circles; for other kinds the node minimum is refined by a
     golden-section search on the exact parameterization, so the result is
     limited only by local-minimum bracketing (adequate for the smooth,
-    mildly perturbed curves used here).
+    mildly perturbed curves used here).  All rows are searched at once;
+    each stops when its own bracket closes.
     """
     x = np.asarray(x, dtype=float)
+    pts = x.reshape(-1, 2)
     if curve.kind == "circle":
         (r,) = curve.params
-        return abs(float(np.hypot(*(x - curve.center))) - r)
-    d2 = np.sum((curve.nodes - x) ** 2, axis=1)
-    i = int(np.argmin(d2))
+        dx = pts - curve.center
+        d = np.abs(np.hypot(dx[:, 0], dx[:, 1]) - r)
+    else:
+        d = _golden_distance(curve, pts)
+    return float(d[0]) if x.ndim == 1 else d
+
+
+def _golden_distance(curve: BoundaryCurve, pts) -> np.ndarray:
+    def f(tt, xs):
+        p = _eval_point(curve.kind, curve.center, curve.params, tt)
+        return ((p - xs) ** 2).sum(axis=1)
+
+    dx = curve.nodes[:, 0] - pts[:, 0, None]
+    dy = curve.nodes[:, 1] - pts[:, 1, None]
+    t0 = curve.t[np.argmin(dx**2 + dy**2, axis=1)]
     h = 2.0 * np.pi / curve.n
-    lo, hi = curve.t[i] - h, curve.t[i] + h
-
-    def f(tt):
-        p = curve.point(np.array([tt]))[0]
-        return float(np.sum((p - x) ** 2))
-
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = t0 - h, t0 + h
     c1, c2 = b - phi * (b - a), a + phi * (b - a)
-    f1, f2 = f(c1), f(c2)
+    f1, f2 = f(c1, pts), f(c2, pts)
+    out = np.empty(len(pts))
+    live = np.arange(len(pts))
     for _ in range(80):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = f(c2)
-        if b - a < 1e-14:
-            break
-    return math.sqrt(min(f1, f2))
+        left = f1 <= f2
+        a, b = np.where(left, a, c1), np.where(left, c2, b)
+        step = phi * (b - a)
+        c = np.where(left, b - step, a + step)
+        fc = f(c, pts)
+        c1, c2 = np.where(left, c, c2), np.where(left, c1, c)
+        f1, f2 = np.where(left, fc, f2), np.where(left, f1, fc)
+        done = b - a < 1e-14
+        if done.any():
+            out[live[done]] = np.sqrt(np.minimum(f1, f2)[done])
+            keep = ~done
+            live, pts, a, b, c1, c2, f1, f2 = (
+                v[keep] for v in (live, pts, a, b, c1, c2, f1, f2))
+    out[live] = np.sqrt(np.minimum(f1, f2))
+    return out
 
 
 @dataclass(frozen=True)
@@ -432,9 +468,8 @@ class RegionWithHole:
     hole: BoundaryCurve
 
     def __post_init__(self):
-        for node in self.hole.nodes:
-            if not self.outer.contains(node):
-                raise CurveError("hole curve is not contained in the outer curve")
+        _require_inside(self.outer, self.hole.nodes,
+                        "hole curve is not contained in the outer curve")
 
 
 def _region_curves(region):
@@ -445,33 +480,20 @@ def _region_curves(region):
     raise TypeError(f"not a region: {region!r}")
 
 
-def _in_region(region, x) -> bool:
-    if isinstance(region, BoundaryCurve):
-        return region.contains(x)
-    return region.outer.contains(x) and not region.hole.contains(x)
-
-
-def region_distance(x, region) -> float:
-    """Distance from a point to a closed region (0 inside)."""
-    try:
-        inside = _in_region(region, x)
-    except IndeterminatePointError:
-        return 0.0  # on the boundary, hence in the closed region
-    if inside:
-        return 0.0
-    return min(distance_to_boundary(c, x) for c in _region_curves(region))
-
-
-def _interior_candidates(region):
-    """Points where the distance to this region's complement can peak.
-
-    A region with a hole admits interior maxima of ``d(., region)`` at the
-    deepest point of the hole; for the supported hole shapes the curve
-    center is that point (exact for circular holes).
-    """
-    if isinstance(region, RegionWithHole):
-        return [np.asarray(region.hole.center, dtype=float)]
-    return []
+def region_distance(x, region):
+    """Distance from a point, or per row of a ``(P, 2)`` array, to a closed
+    region (0 inside, and for points too close to a boundary to classify)."""
+    x = np.asarray(x, dtype=float)
+    pts = x.reshape(-1, 2)
+    curves = _region_curves(region)
+    d, inside, unsure = curves[0].locate(pts)
+    zero = unsure | inside
+    if len(curves) == 2:
+        d_hole, in_hole, unsure_hole = curves[1].locate(pts)
+        zero = unsure | (inside & (unsure_hole | ~in_hole))
+        d = np.minimum(d, d_hole)
+    d = np.where(zero, 0.0, d)
+    return float(d[0]) if x.ndim == 1 else d
 
 
 def _directed_boundary(a, b) -> float:
@@ -480,20 +502,17 @@ def _directed_boundary(a, b) -> float:
             and isinstance(b, BoundaryCurve) and b.kind == "circle"):
         dc = float(np.hypot(*(a.center - b.center)))
         return max(0.0, dc + a.params[0] - b.params[0])
-    best = 0.0
-    for c in _region_curves(a):
-        for node in c.nodes:
-            best = max(best, region_distance(node, b))
-    return best
+    nodes = np.concatenate([c.nodes for c in _region_curves(a)])
+    return max(0.0, float(np.max(region_distance(nodes, b))))
 
 
 def _directed_hausdorff(a, b) -> float:
     best = _directed_boundary(a, b)
-    for cand in _interior_candidates(b):
-        try:
-            if _in_region(a, cand):
-                best = max(best, region_distance(cand, b))
-        except IndeterminatePointError:
+    # the distance to a region with a hole can also peak inside the hole,
+    # at its deepest point: the hole center (exact for circular holes)
+    if isinstance(b, RegionWithHole):
+        cand = b.hole.center
+        if region_distance(cand, a) == 0.0:  # in ``a``, or too close to tell
             best = max(best, region_distance(cand, b))
     return best
 
@@ -542,9 +561,8 @@ class InclusionScene:
     def __post_init__(self):
         if self.k0 <= 0:
             raise CurveError(f"background conductivity must be positive, got {self.k0}")
-        for node in self.inclusion.nodes:
-            if not self.outer.contains(node):
-                raise CurveError("inclusion is not strictly inside the outer boundary")
+        _require_inside(self.outer, self.inclusion.nodes,
+                        "inclusion is not strictly inside the outer boundary")
         sep = self.separation()
         threshold = 3.0 * max(self.outer.max_spacing(), self.inclusion.max_spacing())
         if sep < threshold:

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import ConditioningError, EvaluationDomainError
-from .geometry import BoundaryCurve, distance_to_boundary
+from .geometry import BoundaryCurve
 from .quadrature import (
     free_adjoint_double_layer_self,
     free_single_layer_eval,
@@ -199,7 +199,7 @@ class InteriorNeumannSolver:
         matches each mean-free column of ``flux_values`` on the curve
         nodes.  Returns ``(psi, border_residuals)``."""
         flux = np.atleast_2d(np.asarray(flux_values, dtype=float).T).T
-        means = self.outer.weights @ flux / self.length
+        means = self.outer.mean(flux)
         if np.max(np.abs(means)) > 1e-8 * max(1.0, np.max(np.abs(flux))):
             raise ConditioningError(
                 "interior Neumann data is not mean-free (max mean "
@@ -256,15 +256,18 @@ class NumericGreen:
         return psi, const
 
     def _require_far_inside(self, pts, what):
+        # the first offending point raises as per-point tests would
         margin = _EVAL_MARGIN_SPACINGS * self.outer.max_spacing()
-        for p in pts:
+        d, inside, unsure = self.outer.locate(pts)
+        bad = unsure | ~inside | (d < margin)
+        if bad.any():
+            p = pts[int(np.argmax(bad))]
             if not self.outer.contains(p):
                 raise EvaluationDomainError(f"{what}: {tuple(p)} is outside the domain")
-            if distance_to_boundary(self.outer, p) < margin:
-                raise EvaluationDomainError(
-                    f"{what}: {tuple(p)} is within {margin:.3g} of the outer "
-                    "boundary; the numeric kernel is inaccurate there"
-                )
+            raise EvaluationDomainError(
+                f"{what}: {tuple(p)} is within {margin:.3g} of the outer "
+                "boundary; the numeric kernel is inaccurate there"
+            )
 
     # -- kernel surface -------------------------------------------------------
 

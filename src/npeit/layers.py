@@ -36,7 +36,8 @@ import scipy.linalg
 
 from .exceptions import EvaluationDomainError
 from .geometry import BoundaryCurve, InclusionScene, distance_to_boundary
-from .green import InteriorNeumannSolver, NumericGreen, make_green
+from .green import (_EVAL_MARGIN_SPACINGS, InteriorNeumannSolver, NumericGreen,
+                    make_green)
 from .quadrature import (
     free_adjoint_double_layer_self,
     free_single_layer_eval,
@@ -51,8 +52,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-_EVAL_MARGIN_SPACINGS = 3.0
 
 
 def _mean_free_basis(w0: np.ndarray) -> np.ndarray:
@@ -119,8 +118,7 @@ class SceneOperators:
 
     def project_mean_free(self, g: np.ndarray) -> np.ndarray:
         """Remove the weighted mean from nodal values."""
-        w = self.curve.weights
-        return g - (w @ g) / np.sum(w)
+        return g - self.curve.mean(g)
 
     # -- operator actions -----------------------------------------------------
 
@@ -271,12 +269,13 @@ class PotentialField:
 
     def _guard(self, pts):
         margin = _EVAL_MARGIN_SPACINGS * self.source.max_spacing()
-        for p in pts:
-            if distance_to_boundary(self.source, p) < margin:
-                raise EvaluationDomainError(
-                    f"evaluation point {tuple(p)} is within {margin:.3g} of "
-                    "the source curve; move away or refine the grid"
-                )
+        near = distance_to_boundary(self.source, pts) < margin
+        if near.any():
+            p = pts[int(np.argmax(near))]
+            raise EvaluationDomainError(
+                f"evaluation point {tuple(p)} is within {margin:.3g} of "
+                "the source curve; move away or refine the grid"
+            )
 
     def evaluate(self, points) -> np.ndarray:
         """Field values at interior points away from the source curve."""

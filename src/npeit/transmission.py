@@ -114,7 +114,7 @@ def solve_background(ops: SceneOperators, f: np.ndarray) -> BackgroundField:
     columns) to zero mean."""
     outer = ops.scene.outer
     f = np.asarray(f, dtype=float)
-    removed = (outer.weights @ f) / outer.length()
+    removed = outer.mean(f)
     h = f - removed
     psi, border = ops.neumann.solve(h / ops.scene.k0)
     if np.max(np.abs(border)) > 1e-8 * max(1.0, float(np.max(np.abs(h)))):
@@ -123,7 +123,7 @@ def solve_background(ops: SceneOperators, f: np.ndarray) -> BackgroundField:
         )
     psi = psi.reshape(h.shape)
     raw_trace = ops.neumann.s_self @ psi
-    constant = -(outer.weights @ raw_trace) / outer.length()
+    constant = -outer.mean(raw_trace)
     values_map, flux_map = ops.background_maps
     return BackgroundField(scene=ops.scene, f=h, psi=psi, constant=constant,
                            trace=raw_trace + constant,
@@ -160,8 +160,7 @@ class TransmissionSolution:
     def outer_trace(self) -> np.ndarray:
         """Zero-mean solution trace on the outer nodes."""
         tr = self.background.trace + self.ops.outer_trace(self.phi)
-        w = self.scene.outer.weights
-        return tr - (w @ tr) / np.sum(w)
+        return tr - self.scene.outer.mean(tr)
 
     def inclusion_trace(self) -> np.ndarray:
         return self.background.inclusion_values() \
@@ -340,7 +339,7 @@ def solve_limit(ops: SceneOperators, f: np.ndarray, kind: str) -> LimitSolution:
     total = float(outer.weights @ f)
     if abs(total) <= 1e-12 * max(1.0, float(np.max(np.abs(f), initial=0.0))):
         total = 0.0
-    h = f - total / outer.length()
+    h = f - outer.mean(f) if total != 0.0 else f
     background = solve_background(ops, h)
     beta = total / scene.k0 if kind == "grounded" else 0.0
 
@@ -368,8 +367,7 @@ def solve_limit(ops: SceneOperators, f: np.ndarray, kind: str) -> LimitSolution:
     raw_trace = background.trace + ops.outer_trace(psi) \
         + (beta * ops.green.outer_trace_kernel([curve.center])[:, 0]
            if beta != 0.0 else 0.0) + alpha
-    w = outer.weights
-    mean = float(w @ raw_trace) / outer.length()
+    mean = float(outer.mean(raw_trace))
     return LimitSolution(ops=ops, kind=kind, background=background, beta=beta,
                          psi=psi, alpha=alpha, outer_mean=mean,
                          trace=raw_trace - mean,
@@ -383,8 +381,8 @@ def solve_limit(ops: SceneOperators, f: np.ndarray, kind: str) -> LimitSolution:
 def trace_distance(outer, tr_a: np.ndarray, tr_b: np.ndarray) -> float:
     """Weighted ``L^2`` distance of two zero-mean boundary traces."""
     w = outer.weights
-    a = tr_a - (w @ tr_a) / np.sum(w)
-    b = tr_b - (w @ tr_b) / np.sum(w)
+    a = tr_a - outer.mean(tr_a)
+    b = tr_b - outer.mean(tr_b)
     return float(np.sqrt(w @ (a - b) ** 2))
 
 
@@ -524,8 +522,7 @@ def taylor_outer_trace(ops: SceneOperators, sol: TransmissionSolution,
     for j in range(1, j_max + 1):
         fact *= j
         tr = tr + (delta**j / fact) * ops.outer_trace(phis[j - 1])
-    w = ops.scene.outer.weights
-    return tr - (w @ tr) / np.sum(w)
+    return tr - ops.scene.outer.mean(tr)
 
 
 def derivative_norm_ratios(ops: SceneOperators, phis: list[np.ndarray],
@@ -572,8 +569,7 @@ class ExpansionResult:
         tr = self.limit.trace.copy()
         for a, mode in zip(self.a_system, self.modes):
             tr = tr + a * ops.outer_trace(mode.density)
-        w = ops.scene.outer.weights
-        return tr - (w @ tr) / np.sum(w)
+        return tr - ops.scene.outer.mean(tr)
 
 
 def expansion_coefficients(ops: SceneOperators, spectrum: NPSpectrum,
@@ -599,8 +595,7 @@ def expansion_coefficients(ops: SceneOperators, spectrum: NPSpectrum,
     # both fields must be driven by the same effective (mean-free) data,
     # otherwise their difference is not a pure inclusion layer
     f = np.asarray(f, dtype=float)
-    w_out = scene.outer.weights
-    h = f - float(w_out @ f) / scene.outer.length()
+    h = f - scene.outer.mean(f)
     sol = solve_transmission(ops, h, k)
     limit = solve_limit(ops, h, "grounded")
 
