@@ -227,22 +227,25 @@ class NumericGreen:
     def __init__(self, outer: BoundaryCurve):
         self.outer = outer
         self.neumann = InteriorNeumannSolver(outer)
-        self._s_self = self.neumann.s_self
-        self._length = self.neumann.length
         # cache of per-source-set correction data keyed by array bytes
         self._cache = {}
 
-    def _correction_data(self, y):
-        key = y.tobytes()
+    def _correction_data(self, y, x=None):
+        # one domain guard per point set, evaluation points ``x`` first; the
+        # cache keys are sets that passed, and ``y`` equal to ``x`` has passed
+        key, xkey = y.tobytes(), None if x is None else x.tobytes()
+        if xkey is not None and xkey not in self._cache:
+            self._require_far_inside(x, "evaluation points")
         if key in self._cache:
             return self._cache[key]
-        self._require_far_inside(y, "source points")
+        if xkey != key:
+            self._require_far_inside(y, "source points")
         nodes, normals = self.outer.nodes, self.outer.normals
         dx = nodes[:, None, :] - y[None, :, :]
         r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
         dnu_g = (dx[..., 0] * normals[:, 0][:, None]
                  + dx[..., 1] * normals[:, 1][:, None]) / (2.0 * np.pi * r2)
-        flux_target = 1.0 / self._length - dnu_g
+        flux_target = 1.0 / self.neumann.length - dnu_g
         psi, borders = self.neumann.solve(flux_target)
         if np.max(np.abs(borders)) > 1e-6:
             raise ConditioningError(
@@ -250,8 +253,8 @@ class NumericGreen:
                 f"({np.max(np.abs(borders)):.3e}); refine the outer grid"
             )
         g_mean = self.outer.weights @ _pairwise_log(nodes, y)
-        s_mean = self.outer.weights @ (self._s_self @ psi)
-        const = -(g_mean + s_mean) / self._length
+        s_mean = self.outer.weights @ (self.neumann.s_self @ psi)
+        const = -(g_mean + s_mean) / self.neumann.length
         self._cache[key] = (psi, const)
         return psi, const
 
@@ -274,28 +277,24 @@ class NumericGreen:
     def correction(self, x, y) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        self._require_far_inside(x, "evaluation points")
-        psi, const = self._correction_data(y)
+        psi, const = self._correction_data(y, x)
         return free_single_layer_eval(self.outer, x) @ psi + const[None, :]
 
     def correction_gradient_x(self, x, y) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        self._require_far_inside(x, "evaluation points")
-        psi, _ = self._correction_data(y)
-        grad = free_single_layer_gradient(self.outer, x)
-        return np.einsum("pjd,jq->pqd", grad, psi)
+        psi, _ = self._correction_data(y, x)
+        # one stacked BLAS product over the outer nodes, one per component
+        grad = np.moveaxis(free_single_layer_gradient(self.outer, x), 2, 0)
+        return np.moveaxis(grad @ psi, 0, 2)
 
-    def kernel(self, x, y) -> np.ndarray:
-        return _pairwise_log(np.atleast_2d(np.asarray(x, float)),
-                             np.atleast_2d(np.asarray(y, float))) \
-            + self.correction(x, y)
+    kernel = DiskGreen.kernel  # the free logarithm plus this correction
 
     def outer_trace_kernel(self, y) -> np.ndarray:
         y = np.atleast_2d(np.asarray(y, dtype=float))
         psi, const = self._correction_data(y)
         return (_pairwise_log(self.outer.nodes, y)
-                + self._s_self @ psi + const[None, :])
+                + self.neumann.s_self @ psi + const[None, :])
 
 
 def make_green(outer: BoundaryCurve, method: str = "auto"):

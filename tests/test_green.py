@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from npeit.exceptions import ConditioningError, EvaluationDomainError
-from npeit.geometry import make_circle, make_ellipse, make_star
+from npeit.geometry import InclusionScene, make_circle, make_ellipse, make_star
 from npeit.green import (
     DiskGreen,
     InteriorNeumannSolver,
@@ -17,7 +17,8 @@ from npeit.green import (
     fundamental_solution,
     make_green,
 )
-from npeit.quadrature import free_single_layer_eval
+from npeit.layers import build_scene_operators
+from npeit.quadrature import free_single_layer_eval, free_single_layer_gradient
 
 INTERIOR_POINTS = np.array([[0.2, 0.3], [-0.4, 0.1], [0.05, -0.35], [0.1, 0.02]])
 SOURCE_POINTS = np.array([[0.3, 0.1], [0.0, 0.0], [-0.2, 0.45]])
@@ -207,3 +208,67 @@ class TestNumericGreen:
         assert isinstance(make_green(circ, "numeric"), NumericGreen)
         with pytest.raises(ValueError):
             make_green(circ, "exact")
+
+
+# ---------------------------------------------------------------------------
+# the correction gradient as one stacked matrix product
+# ---------------------------------------------------------------------------
+
+GRADIENT_OUTERS = [make_ellipse((0, 0), 1.3, 0.8, 128),
+                   make_star((0.05, 0), 1.0, [(3, 0.1)], 128)]
+INCLUSION_NODES = make_star((0.1, 0), 0.4, [(3, 0.05)], 96).nodes
+
+
+def einsum_correction_gradient(green, x, y):
+    """Frozen copy of the contraction over the outer nodes by ``einsum``."""
+    psi, _ = green._correction_data(np.asarray(y, float))
+    grad = free_single_layer_gradient(green.outer, x)
+    return np.einsum("pjd,jq->pqd", grad, psi)
+
+
+class TestCorrectionGradient:
+    @pytest.mark.parametrize("outer", GRADIENT_OUTERS, ids=["ellipse", "star"])
+    @pytest.mark.parametrize("x, y", [(INTERIOR_POINTS, SOURCE_POINTS),
+                                      (INCLUSION_NODES, INCLUSION_NODES)],
+                             ids=["points", "inclusion-nodes"])
+    def test_matches_einsum_contraction(self, outer, x, y):
+        green = NumericGreen(outer)
+        got = green.correction_gradient_x(x, y)
+        expected = einsum_correction_gradient(green, x, y)
+        assert got.shape == expected.shape == (len(x), len(y), 2)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("outer", GRADIENT_OUTERS, ids=["ellipse", "star"])
+    def test_matches_fd_of_correction(self, outer):
+        green = NumericGreen(outer)
+        h = 1e-6
+        g = green.correction_gradient_x(INTERIOR_POINTS, SOURCE_POINTS)
+        for d in range(2):
+            e = np.zeros(2)
+            e[d] = h
+            up = green.correction(INTERIOR_POINTS + e, SOURCE_POINTS)
+            dn = green.correction(INTERIOR_POINTS - e, SOURCE_POINTS)
+            assert np.max(np.abs(g[..., d] - (up - dn) / (2 * h))) <= 1e-10
+
+    def test_build_contracts_no_outer_index_by_einsum(self, monkeypatch):
+        # outer and inclusion node counts differ, so an operand axis of the
+        # outer node count is the outer index
+        outer = make_ellipse((0, 0), 1.3, 0.8, 160)
+        scene = InclusionScene(outer, make_star((0.1, 0), 0.4, [(3, 0.05)], 96))
+        calls = []
+        original = np.einsum
+
+        def recording(subscripts, *operands, **kwargs):
+            calls.append((subscripts, [np.shape(op) for op in operands]))
+            return original(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", recording)
+        build_scene_operators(scene)
+        assert calls  # the normal derivative of the correction gradient
+        for subscripts, shapes in calls:
+            assert subscripts != "pjd,jq->pqd"
+            inputs, output = subscripts.replace(" ", "").split("->")
+            for letters, shape in zip(inputs.split(","), shapes):
+                for letter, size in zip(letters, shape):
+                    assert size != outer.n or letter in output, subscripts

@@ -23,7 +23,8 @@ from npeit.disk_oracle import (
     oracle_transmission_mode,
 )
 from npeit.exceptions import SolverError
-from npeit.geometry import InclusionScene, make_circle, make_star
+from npeit.geometry import InclusionScene, make_circle, make_ellipse, make_star
+from npeit.green import NumericGreen
 from npeit.layers import build_scene_operators
 from npeit.spectrum import solve_spectrum
 from npeit.transmission import (
@@ -361,3 +362,47 @@ class TestExpansion:
         base = expansion_coefficients(ops, spec, cos_data(ops), 3.0)
         assert np.max(np.abs(res.a_system - base.a_system)) <= 1e-13
         assert res.max_route_gap() <= 1e-10
+
+
+class TestNeumannToDirichletInvariants:
+    """Invariants of the Neumann-to-Dirichlet map on any geometry.
+
+    With Fourier loads ``L`` (``cos mt``, ``sin mt``, ``m = 1..6``) on an
+    ellipse outer (numeric kernel) and outer traces ``T(k)``, the Gram
+    matrix ``G(k) = L^T W T(k)`` is the energy form
+    ``int sigma grad u_i . grad u_j``: symmetric by reciprocity, positive
+    definite, and decreasing in the inclusion conductivity ``k``.  None of
+    this depends on the order in which the kernel sums are taken.
+    """
+
+    KS = (0.1, 1.0, 10.0)
+
+    @pytest.fixture(scope="class")
+    def grams(self):
+        outer = make_ellipse((0, 0), 1.2, 0.9, 128)
+        inclusion = make_star((0.1, 0.05), 0.45, [(3, 0.04), (4, 0.02)], 128)
+        ops = build_scene_operators(InclusionScene(outer, inclusion, 1.0))
+        assert isinstance(ops.green, NumericGreen)
+        mt = np.outer(outer.t, np.arange(1, 7))
+        loads = np.stack([np.cos(mt), np.sin(mt)], axis=2).reshape(outer.n, -1)
+        grams = {}
+        for k in self.KS:
+            traces = np.column_stack([solve_transmission(ops, f, k).outer_trace()
+                                      for f in loads.T])
+            grams[k] = loads.T @ (outer.weights[:, None] * traces)
+        return grams
+
+    @pytest.mark.parametrize("k", KS)
+    def test_symmetric(self, grams, k):
+        g = grams[k]
+        assert np.max(np.abs(g - g.T)) <= 1e-13 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("k", KS)
+    def test_positive_definite(self, grams, k):
+        g = grams[k]
+        assert np.linalg.eigvalsh(0.5 * (g + g.T))[0] > 0.0
+
+    def test_monotone_in_conductivity(self, grams):
+        for lo, hi in zip(self.KS, self.KS[1:]):
+            d = grams[lo] - grams[hi]
+            assert np.linalg.eigvalsh(0.5 * (d + d.T))[0] > 0.0
