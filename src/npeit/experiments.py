@@ -106,12 +106,11 @@ class SweepResult:
 
 
 def _fit_tail_slope(ks, dists, tail: int = 4) -> float | None:
-    pairs = [(k, d) for k, d in zip(ks[-tail:], dists[-tail:]) if d > 0.0]
-    if len(pairs) < 2:
+    k, d = np.asarray(ks[-tail:]), np.asarray(dists[-tail:])
+    keep = d > 0.0
+    if keep.sum() < 2:
         return None
-    lk = np.log([p[0] for p in pairs])
-    ld = np.log([p[1] for p in pairs])
-    return float(np.polyfit(lk, ld, 1)[0])
+    return float(np.polyfit(np.log(k[keep]), np.log(d[keep]), 1)[0])
 
 
 def run_sweep(config: ExperimentConfig, out_dir,
@@ -119,52 +118,51 @@ def run_sweep(config: ExperimentConfig, out_dir,
     """Sweep the conductivity ladder and measure convergence to the
     high-contrast limits; writes ``sweep.csv``.
 
-    ``against`` names a second inclusion curve; when given, the sup over
-    the ladder of the trace distance between the two scenes' solutions
-    is recorded in the result (the quantity the stability experiment
-    ranks pairs by).
+    The ladder is one block solve per operator set, and the limits share
+    its background.  ``against`` names a second inclusion curve; when
+    given, the sup over the ladder of the trace distance between the two
+    scenes' solutions is recorded in the result (the quantity the
+    stability experiment ranks pairs by).
 
-    A solver failure mid-ladder flushes the rows computed so far with a
-    ``# aborted`` marker line and re-raises.
+    A solver failure, or a non-finite result at some ladder point,
+    flushes the rows before it with a ``# aborted`` marker line and
+    raises.
     """
     ops = build_operators(config)
+    ops_b = build_operators(config, against) if against is not None else None
     outer = ops.scene.outer
     f = config.data_vector(outer.t)
-    grounded = solve_limit(ops, f, "grounded")
-    conductor = solve_limit(ops, f, "conductor")
-    if grounded.beta == 0.0:
-        bound_limit = grounded
-    else:  # the gradient bound compares against the mean-free problem
-        bound_limit = solve_limit(ops, grounded.background.f, "grounded")
-    c0 = trace_constant(ops)
-    ops_b = build_operators(config, against) if against is not None else None
     ks = config.k_ladder()
-
     path = Path(out_dir) / "sweep.csv"
     rows: list = []
-    points = []  # (d_dir, d_con, ratio, gap) per ladder point
-    for k in ks:
-        try:
-            sol = solve_transmission(ops, f, k)
-            tr = sol.outer_trace()
-            gap = 0.0 if ops_b is None else trace_distance(
-                outer, tr, solve_transmission(ops_b, f, k).outer_trace())
-            points.append((trace_distance(outer, tr, grounded.trace),
-                           trace_distance(outer, tr, conductor.trace),
-                           sol.gradient_bound(bound_limit, c0).ratio, gap))
-        except (SolverError, ConditioningError) as exc:
-            rows.append(f"# aborted: {exc}")
-            _write_csv(path, SWEEP_HEADER, rows)
-            log.error("sweep aborted at k=%g after %d rows: %s",
-                      k, len(rows) - 1, exc)
-            raise
-        rows.append(tuple(map(format_number, (k, *points[-1][:3]))))
+    try:
+        sol = solve_transmission(ops, f, ks)
+        tr, bg = sol.outer_trace(), sol.background
+        grounded = solve_limit(ops, f, "grounded", bg)
+        conductor = solve_limit(ops, f, "conductor", bg)
+        # the gradient bound compares against the mean-free problem
+        bound_limit = grounded if grounded.beta == 0.0 else \
+            solve_limit(ops, bg.f, "grounded", bg)
+        d_dir = trace_distance(outer, tr, grounded.trace[:, None])
+        d_con = trace_distance(outer, tr, conductor.trace[:, None])
+        ratio = sol.gradient_bound(bound_limit, trace_constant(ops)).ratio
+        gap = np.zeros(len(ks)) if ops_b is None else trace_distance(
+            outer, tr, solve_transmission(ops_b, f, ks).outer_trace())
+        for row in zip(ks, d_dir, d_con, ratio, gap):
+            if not np.all(np.isfinite(row)):
+                raise SolverError(f"non-finite ladder solution at k={row[0]:g}")
+            rows.append(tuple(map(format_number, row[:4])))
+    except (SolverError, ConditioningError) as exc:
+        rows.append(f"# aborted: {exc}")
+        _write_csv(path, SWEEP_HEADER, rows)
+        log.error("sweep aborted after %d rows: %s", len(rows) - 1, exc)
+        raise
     _write_csv(path, SWEEP_HEADER, rows)
-    d_dir, d_con, ratio, gap = map(tuple, zip(*points))
-    return SweepResult(ks=tuple(ks), dist_dirichlet=d_dir,
-                       dist_conductor=d_con, grad_ratio=ratio,
+    return SweepResult(ks=tuple(ks), dist_dirichlet=tuple(d_dir.tolist()),
+                       dist_conductor=tuple(d_con.tolist()),
+                       grad_ratio=tuple(ratio.tolist()),
                        slope=_fit_tail_slope(ks, d_dir),
-                       lam=max(gap) if ops_b is not None else None)
+                       lam=float(np.max(gap)) if ops_b is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +245,9 @@ def triple_log_reference(lam: float) -> float:
 
 def _ladder_trace_gap(ops_a: SceneOperators, ops_b: SceneOperators,
                       f: np.ndarray, ks) -> float:
-    return float(max(trace_distance(ops_a.scene.outer,
-                                    solve_transmission(ops_a, f, k).outer_trace(),
-                                    solve_transmission(ops_b, f, k).outer_trace())
-                     for k in ks))
+    return float(np.max(trace_distance(
+        ops_a.scene.outer, solve_transmission(ops_a, f, ks).outer_trace(),
+        solve_transmission(ops_b, f, ks).outer_trace())))
 
 
 def rank_correlation(x, y) -> float:

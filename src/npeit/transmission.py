@@ -36,7 +36,7 @@ import scipy.linalg
 
 from .exceptions import SolverError
 from .geometry import InclusionScene
-from .layers import PotentialField, SceneOperators
+from .layers import SceneOperators
 from .quadrature import free_single_layer_eval, free_single_layer_gradient
 from .spectrum import NPSpectrum
 
@@ -101,13 +101,6 @@ class BackgroundField:
                          free_single_layer_gradient(self.scene.outer, pts),
                          self.psi)
 
-    def inclusion_values(self) -> np.ndarray:
-        return self.values
-
-    def inclusion_flux(self) -> np.ndarray:
-        """Normal derivative on the inclusion nodes."""
-        return self.flux
-
 
 def solve_background(ops: SceneOperators, f: np.ndarray) -> BackgroundField:
     """Solve the inclusion-free problem, projecting ``f`` (a vector or
@@ -137,11 +130,14 @@ def solve_background(ops: SceneOperators, f: np.ndarray) -> BackgroundField:
 
 @dataclass
 class TransmissionSolution:
-    """Solution ``u = u0 + (single layer of phi)`` at contrast ``k``."""
+    """Solution ``u = u0 + (single layer of phi)`` at contrast ``k``.
+
+    ``phi`` has a column per point of a ladder ``k`` or per load of a block
+    ``f``; trace, flux and bound methods then give a value per column."""
 
     ops: SceneOperators
-    k: float
-    lam: float
+    k: float | np.ndarray
+    lam: float | np.ndarray
     background: BackgroundField
     phi: np.ndarray = field(repr=False)
 
@@ -154,41 +150,46 @@ class TransmissionSolution:
         """Boundary mean subtracted from the supplied Neumann data."""
         return self.background.removed_mean
 
-    def layer(self) -> PotentialField:
-        return self.ops.potential(self.phi)
+    def _columns(self, values: np.ndarray) -> np.ndarray:
+        """Background ``values`` broadcast against the columns of ``phi``."""
+        return values[:, None] if self.phi.ndim > values.ndim else values
 
     def outer_trace(self) -> np.ndarray:
         """Zero-mean solution trace on the outer nodes."""
-        tr = self.background.trace + self.ops.outer_trace(self.phi)
+        tr = self._columns(self.background.trace) + self.ops.outer_trace(self.phi)
         return tr - self.scene.outer.mean(tr)
 
     def inclusion_trace(self) -> np.ndarray:
-        return self.background.inclusion_values() \
+        return self._columns(self.background.values) \
             + self.ops.potential_trace(self.phi)
 
     def side_flux(self, side: int) -> np.ndarray:
-        return self.background.inclusion_flux() + self.ops.side_flux(self.phi, side)
+        return self._columns(self.background.flux) \
+            + self.ops.side_flux(self.phi, side)
 
     def evaluate(self, points) -> np.ndarray:
-        return self.background.evaluate(points) + self.layer().evaluate(points)
+        """Values at interior points (one column of ``phi``)."""
+        return self.background.evaluate(points) \
+            + self.ops.potential(self.phi).evaluate(points)
 
     def gradient(self, points) -> np.ndarray:
-        return self.background.gradient(points) + self.layer().gradient(points)
+        return self.background.gradient(points) \
+            + self.ops.potential(self.phi).gradient(points)
 
-    def flux_matching_residual(self) -> float:
+    def flux_matching_residual(self):
         """Defect of the conormal matching ``k flux(-) = k0 flux(+)``."""
         k0 = self.scene.k0
         r = self.k * self.side_flux(-1) - k0 * self.side_flux(+1)
-        return float(np.max(np.abs(r)))
+        return np.max(np.abs(r), axis=0)
 
-    def gradient_energy(self) -> float:
+    def gradient_energy(self):
         """``int_Omega |grad u|^2`` via boundary identities:
         ``oint (f/k0) u - oint_inclusion phi u``."""
         scene = self.scene
         outer_part = scene.outer.weights @ (
-            (self.background.f / scene.k0) * self.outer_trace())
+            self._columns(self.background.f / scene.k0) * self.outer_trace())
         inner_part = scene.inclusion.weights @ (self.phi * self.inclusion_trace())
-        return float(outer_part - inner_part)
+        return outer_part - inner_part
 
     def gradient_bound(self, limit: "LimitSolution",
                        c0: float) -> "GradientBound":
@@ -197,80 +198,88 @@ class TransmissionSolution:
         if limit.beta != 0.0:
             raise ValueError("gradient bound needs the grounded limit of the "
                              "mean-free projection (zero net flux)")
-        ops, scene = self.ops, self.scene
+        scene, k, k0 = self.scene, np.asarray(self.k), self.scene.k0
         w_d = scene.inclusion.weights
         tr_u = self.inclusion_trace()
-        # int_D |grad u|^2 = oint u (du/dnu)|- on the inclusion boundary
-        e_inc = float(w_d @ (tr_u * self.side_flux(-1)))
+        # int_D |grad u|^2 = oint u (du/dnu)|- on the inclusion boundary, with
+        # du/dnu|- = (lam - 1/2) phi = k0/(k - k0) phi (u0's flux at k = k0):
+        # the side flux would cancel two O(1) terms down to O(1/k)
+        flux_in = np.where(k == k0, self._columns(self.background.flux),
+                           k0 / np.where(k == k0, 1.0, k - k0) * self.phi)
+        e_inc = w_d @ (tr_u * flux_in)
         # int_annulus |grad v|^2 = -oint v (dv/dnu)|+ : the outer term
         # vanishes (equal Neumann data) and additive constants drop against
         # the flux difference, whose net integral is zero
-        flux_lim = limit.background.inclusion_flux() + ops.side_flux(limit.psi, +1)
-        e_ann = -float(w_d @ (tr_u * (self.side_flux(+1) - flux_lim)))
+        flux_lim = limit.background.flux + self.ops.side_flux(limit.psi, +1)
+        e_ann = -(w_d @ (tr_u * (self.side_flux(+1) - self._columns(flux_lim))))
 
         h = self.background.f
         return GradientBound(
             k=self.k,
             k0=scene.k0,
-            inclusion_gradient=math.sqrt(max(e_inc, 0.0)),
-            annulus_gradient=math.sqrt(max(e_ann, 0.0)),
+            inclusion_gradient=np.sqrt(np.maximum(e_inc, 0.0)),
+            annulus_gradient=np.sqrt(np.maximum(e_ann, 0.0)),
             limit_gradient=math.sqrt(max(limit.annulus_gradient_energy(), 0.0)),
-            data_norm=float(np.sqrt(scene.outer.weights @ h**2)),
+            data_norm=np.sqrt(scene.outer.weights @ h**2),
             c0=float(c0),
         )
 
 
-def contrast_parameter(k: float, k0: float) -> float:
-    """``lambda = (k + k0) / (2 (k - k0))`` (infinite at ``k = k0``)."""
-    if k <= 0 or k0 <= 0:
+def contrast_parameter(k, k0: float):
+    """``lambda = (k + k0) / (2 (k - k0))`` per ``k`` (infinite at ``k0``)."""
+    k = np.asarray(k, dtype=float)
+    if np.any(k <= 0) or k0 <= 0:
         raise ValueError("conductivities must be positive")
-    if k == k0:
-        return math.inf
-    return (k + k0) / (2.0 * (k - k0))
+    with np.errstate(divide="ignore"):
+        return (k + k0) / (2.0 * (k - k0))
 
 
 def solve_transmission(ops: SceneOperators, f: np.ndarray,
-                       k: float) -> TransmissionSolution:
+                       k) -> TransmissionSolution:
     """Solve the transmission problem at inclusion conductivity ``k``.
 
-    Neumann compatibility requires mean-free data, so ``f`` is projected
-    to zero boundary mean; the subtracted constant is reported on the
-    solution as ``removed_mean``.  ``k = k0`` returns the background
-    itself.
+    A 1-D ladder ``k`` takes one load vector ``f``, whose background is
+    solved once; the resolvent acts on it with one column per point, and
+    one ``k`` is the one-column case (``f`` may then be columns of loads).
+    ``f`` is projected to zero boundary mean (Neumann compatibility), the
+    subtracted constant reported as ``removed_mean``; ``k = k0`` gives u0.
     """
-    scene = ops.scene
+    if np.ndim(k) > 1 or (np.ndim(k) == 1 and np.ndim(f) > 1):
+        raise ValueError("a ladder of conductivities takes one load vector")
     background = solve_background(ops, f)
-    lam = contrast_parameter(k, scene.k0)
-    if math.isinf(lam):
-        phi = np.zeros(ops.curve.n)
-    else:
-        if abs(lam) - 0.5 < _RESONANCE_MARGIN:
-            log.warning("contrast parameter %.12g is within %.1e of the "
-                        "essential spectrum edge 1/2; the solve may lose "
-                        "accuracy", lam, _RESONANCE_MARGIN)
-        phi = _solve_second_kind(ops, lam, background.inclusion_flux())
-    return TransmissionSolution(ops=ops, k=float(k), lam=lam,
-                                background=background, phi=phi)
+    lam = contrast_parameter(k, ops.scene.k0)
+    for value in np.extract(np.abs(lam) - 0.5 < _RESONANCE_MARGIN, lam):
+        log.warning("contrast parameter %.12g is within %.1e of the "
+                    "essential spectrum edge 1/2; the solve may lose "
+                    "accuracy", value, _RESONANCE_MARGIN)
+    live = np.isfinite(lam)  # k = k0 leaves the background as it is
+    phi = _solve_second_kind(ops, np.where(live, lam, 1.0), background.flux)
+    return TransmissionSolution(ops=ops, k=np.asarray(k, dtype=float)[()],
+                                lam=lam, background=background,
+                                phi=np.where(live, phi, 0.0))
 
 
-def _solve_second_kind(ops: SceneOperators, lam: float,
+def _solve_second_kind(ops: SceneOperators, lam,
                        rhs_plain: np.ndarray) -> np.ndarray:
-    """Solve ``(lam I - K*) phi = rhs`` (a vector or columns) on the
-    mean-free subspace with the resolvent of the cached pencil.
+    """Solve ``(lam I - K*) phi = rhs`` on the mean-free subspace with the
+    resolvent of the cached pencil.  ``rhs`` is a vector or columns, and
+    ``lam`` one value or one per column (then a vector ``rhs`` is shared).
 
     That resolvent assumes ``K*`` keeps the mean-free subspace invariant,
     true to quadrature accuracy; one refinement step against the reduced
     operator ``p^T K* p`` removes the defect."""
     p = ops.mean_free
     mu, y, left = ops.pencil
-    if np.any(mu == lam):  # pragma: no cover
+    lams = np.reshape(lam, -1)
+    if np.any(mu[:, None] == lams):  # pragma: no cover
         raise SolverError(f"second-kind solve failed at lambda={lam}")
-    scale = (1.0 / (lam - mu))[:, None]
+    scale = 1.0 / (lams - mu[:, None])
     rhs = (p.T @ ops.hat(rhs_plain)).reshape(len(mu), -1)
     sol = y @ (scale * (left @ rhs))
-    resid = rhs - (lam * sol - ops.reduced_kstar @ sol)
+    resid = rhs - (lams * sol - ops.reduced_kstar @ sol)
     sol = sol + y @ (scale * (left @ resid))
-    return ops.unhat(p @ sol).reshape(np.shape(rhs_plain))
+    return ops.unhat(p @ sol).reshape(
+        np.shape(rhs_plain) if np.ndim(lam) == 0 else (-1, lams.size))
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +332,14 @@ class LimitSolution:
             (self.background.f / scene.k0) * unnormalized))
 
 
-def solve_limit(ops: SceneOperators, f: np.ndarray, kind: str) -> LimitSolution:
+def solve_limit(ops: SceneOperators, f: np.ndarray, kind: str,
+                background: BackgroundField | None = None) -> LimitSolution:
     """Solve an infinite-contrast limit problem.
 
     ``kind = 'grounded'``: zero trace on the inclusion; ``f`` may carry
     net flux (absorbed by a source term at the inclusion center).
     ``kind = 'conductor'``: constant trace and flux-free inclusion; the
-    mean-free part of ``f`` is used.
+    mean-free part of ``f`` is used.  ``background``: ``f``'s, if solved.
     """
     if kind not in ("grounded", "conductor"):
         raise ValueError(f"unknown limit kind {kind!r}")
@@ -339,11 +349,11 @@ def solve_limit(ops: SceneOperators, f: np.ndarray, kind: str) -> LimitSolution:
     total = float(outer.weights @ f)
     if abs(total) <= 1e-12 * max(1.0, float(np.max(np.abs(f), initial=0.0))):
         total = 0.0
-    h = f - outer.mean(f) if total != 0.0 else f
-    background = solve_background(ops, h)
+    if background is None:
+        background = solve_background(ops, f)
     beta = total / scene.k0 if kind == "grounded" else 0.0
 
-    rhs_vals = background.inclusion_values()
+    rhs_vals = background.values
     if beta != 0.0:
         rhs_vals = rhs_vals + beta * ops.green.kernel(
             curve.nodes, [curve.center])[:, 0]
@@ -378,12 +388,12 @@ def solve_limit(ops: SceneOperators, f: np.ndarray, kind: str) -> LimitSolution:
 # trace diagnostics and the gradient bound
 # ---------------------------------------------------------------------------
 
-def trace_distance(outer, tr_a: np.ndarray, tr_b: np.ndarray) -> float:
-    """Weighted ``L^2`` distance of two zero-mean boundary traces."""
-    w = outer.weights
+def trace_distance(outer, tr_a: np.ndarray, tr_b: np.ndarray):
+    """Weighted ``L^2`` distance of two zero-mean boundary traces (one
+    per column for columns of traces)."""
     a = tr_a - outer.mean(tr_a)
     b = tr_b - outer.mean(tr_b)
-    return float(np.sqrt(w @ (a - b) ** 2))
+    return np.sqrt(outer.weights @ (a - b) ** 2)
 
 
 def trace_constant(ops: SceneOperators, n_harmonics: int = 12) -> float:
@@ -419,7 +429,7 @@ def trace_constant(ops: SceneOperators, n_harmonics: int = 12) -> float:
     bg = solve_background(ops, scene.k0 * loads)
     # cancel the inclusion flux: exterior-side layer flux is
     # (1/2 + K*) psi, i.e. the lam = -1/2 second-kind problem
-    psi = _solve_second_kind(ops, -0.5, bg.inclusion_flux())
+    psi = _solve_second_kind(ops, -0.5, bg.flux)
     traces = bg.trace + ops.outer_trace(psi)
     weighted = outer.weights[:, None] * traces
     e, t_gram = loads.T @ weighted, traces.T @ weighted
@@ -435,28 +445,29 @@ class GradientBound:
     With ``M = |grad u_limit|_{L2(annulus)} + C0 |f|_{L2(outer)} / k0``,
     the difference field satisfies ``|grad v|_{L2(annulus)} <= M`` and
     ``|grad v|_{L2(inclusion)} <= M / sqrt(k)``; ``ratio`` and
-    ``annulus_ratio`` report the measured left sides over the bounds.
+    ``annulus_ratio`` report the measured left sides over the bounds
+    (one per column of the solution).
     """
 
-    k: float
+    k: float | np.ndarray
     k0: float
-    inclusion_gradient: float
-    annulus_gradient: float
+    inclusion_gradient: float | np.ndarray
+    annulus_gradient: float | np.ndarray
     limit_gradient: float
-    data_norm: float
+    data_norm: float | np.ndarray
     c0: float
 
     @property
-    def m_constant(self) -> float:
+    def m_constant(self):
         return self.limit_gradient + self.c0 * self.data_norm / self.k0
 
     @property
-    def ratio(self) -> float:
+    def ratio(self):
         """``|grad v|_{L2(inclusion)} sqrt(k) / M`` (at most 1)."""
-        return self.inclusion_gradient * math.sqrt(self.k) / self.m_constant
+        return self.inclusion_gradient * np.sqrt(self.k) / self.m_constant
 
     @property
-    def annulus_ratio(self) -> float:
+    def annulus_ratio(self):
         """``|grad v|_{L2(annulus)} / M`` (at most 1)."""
         return self.annulus_gradient / self.m_constant
 
@@ -473,7 +484,7 @@ def gradient_bound(ops: SceneOperators, f: np.ndarray, k: float,
     """
     sol = solve_transmission(ops, f, k)
     if limit is None:
-        limit = solve_limit(ops, sol.background.f, "grounded")
+        limit = solve_limit(ops, sol.background.f, "grounded", sol.background)
     if c0 is None:
         c0 = trace_constant(ops)
     return sol.gradient_bound(limit, c0)
@@ -515,13 +526,9 @@ def taylor_outer_trace(ops: SceneOperators, sol: TransmissionSolution,
                        phis: list[np.ndarray], delta: float,
                        j_max: int | None = None) -> np.ndarray:
     """Outer trace of the Taylor polynomial at contrast ``k + delta``."""
-    if j_max is None:
-        j_max = len(phis)
-    tr = sol.outer_trace().copy()
-    fact = 1.0
-    for j in range(1, j_max + 1):
-        fact *= j
-        tr = tr + (delta**j / fact) * ops.outer_trace(phis[j - 1])
+    j_max = len(phis) if j_max is None else j_max
+    terms = [delta**j / math.factorial(j) for j in range(1, j_max + 1)]
+    tr = sol.outer_trace() + ops.outer_trace(np.column_stack(phis[:j_max])) @ terms
     return tr - ops.scene.outer.mean(tr)
 
 
@@ -530,15 +537,10 @@ def derivative_norm_ratios(ops: SceneOperators, phis: list[np.ndarray],
     """Scaled energy norms ``|u^(j)|_V / (j! phi(k)^(j+1))`` with
     ``phi(k) = 1/min(k, k0)``; bounded uniformly in ``j`` and ``k`` when
     the solution map is analytic with the expected radius."""
-    k0 = ops.scene.k0
-    scale = 1.0 / min(k, k0)
-    out = []
-    fact = 1.0
-    for j, phi in enumerate(phis, start=1):
-        fact *= j
-        vnorm = math.sqrt(max(ops.energy_norm2(phi), 0.0))
-        out.append(vnorm / (fact * scale ** (j + 1)))
-    return out
+    scale = 1.0 / min(k, ops.scene.k0)
+    return [math.sqrt(max(ops.energy_norm2(phi), 0.0))
+            / (math.factorial(j) * scale ** (j + 1))
+            for j, phi in enumerate(phis, start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +568,8 @@ class ExpansionResult:
         return float(np.max(np.abs(self.a_system - self.a_projection)))
 
     def reconstructed_outer_trace(self, ops: SceneOperators) -> np.ndarray:
-        tr = self.limit.trace.copy()
-        for a, mode in zip(self.a_system, self.modes):
-            tr = tr + a * ops.outer_trace(mode.density)
+        densities = np.column_stack([mode.density for mode in self.modes])
+        tr = self.limit.trace + ops.outer_trace(densities) @ self.a_system
         return tr - ops.scene.outer.mean(tr)
 
 
@@ -597,7 +598,7 @@ def expansion_coefficients(ops: SceneOperators, spectrum: NPSpectrum,
     f = np.asarray(f, dtype=float)
     h = f - scene.outer.mean(f)
     sol = solve_transmission(ops, h, k)
-    limit = solve_limit(ops, h, "grounded")
+    limit = solve_limit(ops, h, "grounded", sol.background)
 
     densities = np.column_stack([m.density for m in modes])
     dens_hat = ops.sqrt_w[:, None] * densities
@@ -607,7 +608,7 @@ def expansion_coefficients(ops: SceneOperators, spectrum: NPSpectrum,
     interior_gram = 0.5 * (interior_gram + interior_gram.T)
 
     # limit flux moment against the mode potential traces
-    flux_plus = limit.background.inclusion_flux() \
+    flux_plus = limit.background.flux \
         + ops.side_flux(limit.psi, +1)
     w_d = ops.curve.weights
     traces = -(ops.s_plain @ densities)  # mode potential traces on the inclusion

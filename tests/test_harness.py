@@ -267,22 +267,37 @@ count = 5
         assert result.lam is not None and result.lam > 1e-3
 
     def test_solver_failure_flushes_partial_csv(self, tmp_path, monkeypatch):
+        # the ladder is one batched call: poison its columns for k >= 64
+        # (k = 64 and 256); the sweep must stop at the first of them
         config = parse_config(MINI_SCENE)
         real = experiments.solve_transmission
 
         def failing(ops, f, k):
-            if k >= 64.0:
-                raise SolverError(f"injected failure at k={k}")
-            return real(ops, f, k)
+            sol = real(ops, f, k)
+            sol.phi[:, np.asarray(k) >= 64.0] = np.nan
+            return sol
 
         monkeypatch.setattr(experiments, "solve_transmission", failing)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="k=64"):
             run_sweep(config, tmp_path)
         text = (tmp_path / "sweep.csv").read_text(encoding="utf-8")
         lines = text.strip().splitlines()
         assert lines[0] == SWEEP_HEADER
         assert lines[-1].startswith("# aborted: ")
+        assert "k=64" in lines[-1]
         assert len(lines) == 2 + 2  # header, two completed rows, marker
+        assert [float(line.split(",")[0]) for line in lines[1:3]] == [4.0, 16.0]
+
+    def test_raising_ladder_flushes_header_and_marker(self, tmp_path,
+                                                      monkeypatch):
+        def raising(ops, f, k):
+            raise SolverError("injected failure")
+
+        monkeypatch.setattr(experiments, "solve_transmission", raising)
+        with pytest.raises(SolverError, match="injected"):
+            run_sweep(parse_config(MINI_SCENE), tmp_path)
+        lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").split("\n")
+        assert lines[:2] == [SWEEP_HEADER, "# aborted: injected failure"]
 
 
 # ---------------------------------------------------------------------------
@@ -529,22 +544,26 @@ class TestSerialDrivers:
     def test_every_transmission_solve_runs_on_the_main_thread(
             self, tmp_path, monkeypatch):
         real = experiments.solve_transmission
-        on_main = []
+        calls = []
 
         def recording(ops, f, k):
-            on_main.append(threading.current_thread()
-                           is threading.main_thread())
+            calls.append((id(ops), tuple(np.atleast_1d(k)),
+                          threading.current_thread() is threading.main_thread()))
             return real(ops, f, k)
 
         monkeypatch.setattr(experiments, "solve_transmission", recording)
-        run_sweep(parse_config(MINI_SCENE), tmp_path)
-        assert len(on_main) == 4
-        run_sweep(parse_config(MINI_SCENE), tmp_path,
-                  against="circle 0.1 0 0.4")
-        assert len(on_main) == 4 + 2 * 4
-        run_stability(parse_config(TANGENT_LADDER), tmp_path)
-        assert len(on_main) == 12 + 3 * 2 * 3
-        assert all(on_main)
+        sweep = parse_config(MINI_SCENE)
+        run_sweep(sweep, tmp_path)
+        assert len(calls) == 1
+        run_sweep(sweep, tmp_path, against="circle 0.1 0 0.4")
+        assert len(calls) == 1 + 2
+        assert calls[1][0] != calls[2][0]
+        assert all(ks == tuple(sweep.k_ladder()) for _, ks, _ in calls)
+        stability = parse_config(TANGENT_LADDER)
+        run_stability(stability, tmp_path)
+        assert len(calls) == 3 + 3 * 2  # three pairs, two operator sets each
+        assert all(ks == tuple(stability.k_ladder()) for _, ks, _ in calls[3:])
+        assert all(on_main for _, _, on_main in calls)
 
 
 class TestRankCorrelation:

@@ -11,7 +11,8 @@ operator.  Pinned here:
   far edge of the spectrum (``lam = -1/2``) to just above ``1/2``, and
   leaves a residual at roundoff;
 * one operator set pays for exactly one pencil decomposition, however
-  many spectra, expansions, trace constants and ladder points use it.
+  many spectra, expansions, trace constants, ladder points and batched
+  ladders use it.
 """
 
 import numpy as np
@@ -95,7 +96,7 @@ class TestResolventMatchesDirectSolve:
             2 * scene_ops.scene.outer.t)
         sol = solve_transmission(scene_ops, f, 7.0)
         direct = direct_solve(scene_ops, sol.lam,
-                              sol.background.inclusion_flux())
+                              sol.background.flux)
         assert rel_err(sol.phi, direct) <= 1e-12
 
 
@@ -121,6 +122,7 @@ class TestOnePencilPerOperatorSet:
         trace_constant(ops)
         for k in np.geomspace(0.05, 500.0, 10):
             solve_transmission(ops, f, k).outer_trace()
+        solve_transmission(ops, f, np.geomspace(0.05, 500.0, 10)).outer_trace()
         derivative_ladder(ops, f, 3.0, 4)
         # one pencil of size n - 1; the other generalized call is the
         # 24 x 24 Rayleigh-Ritz problem of the trace constant

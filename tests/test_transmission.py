@@ -65,9 +65,9 @@ class TestBackground:
         bg = solve_background(ops, cos_data(ops))
         outer, inc = ops.scene.outer, ops.scene.inclusion
         assert np.max(np.abs(bg.trace - np.cos(outer.t))) <= 1e-13
-        assert np.max(np.abs(bg.inclusion_values()
+        assert np.max(np.abs(bg.values
                              - 0.5 * np.cos(inc.t))) <= 1e-13
-        assert np.max(np.abs(bg.inclusion_flux() - np.cos(inc.t))) <= 1e-13
+        assert np.max(np.abs(bg.flux - np.cos(inc.t))) <= 1e-13
 
     def test_background_scales_with_k0(self):
         scene = InclusionScene(make_circle((0, 0), 1.0, 128),
@@ -386,9 +386,8 @@ class TestNeumannToDirichletInvariants:
         mt = np.outer(outer.t, np.arange(1, 7))
         loads = np.stack([np.cos(mt), np.sin(mt)], axis=2).reshape(outer.n, -1)
         grams = {}
-        for k in self.KS:
-            traces = np.column_stack([solve_transmission(ops, f, k).outer_trace()
-                                      for f in loads.T])
+        for k in self.KS:  # k = k0 = 1 included: the loads as one block
+            traces = solve_transmission(ops, loads, k).outer_trace()
             grams[k] = loads.T @ (outer.weights[:, None] * traces)
         return grams
 
