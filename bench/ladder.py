@@ -61,6 +61,19 @@ def _cpu() -> str:
     return platform.processor()
 
 
+def environment() -> dict:
+    """The machine, library versions and BLAS thread settings of a run."""
+    return {
+        "machine": {"cpu": _cpu(), "nproc": os.cpu_count(),
+                    "platform": platform.platform()},
+        "versions": {"python": platform.python_version(),
+                     "numpy": numpy.__version__, "scipy": scipy.__version__},
+        "thread_env": {key: os.environ[key] for key in
+                       ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS") if key in os.environ},
+    }
+
+
 def time_sweep(n: int, repeats: int) -> list[float]:
     """Wall times of ``repeats`` sweeps at ``n`` nodes, after one warm-up."""
     config = parse_config(SCENE.format(n=n, points=POINTS,
@@ -95,13 +108,7 @@ def main(argv=None) -> int:
                      "a disk",
         "repeats": args.repeats,
         "results": results,
-        "machine": {"cpu": _cpu(), "nproc": os.cpu_count(),
-                    "platform": platform.platform()},
-        "versions": {"python": platform.python_version(),
-                     "numpy": numpy.__version__, "scipy": scipy.__version__},
-        "thread_env": {key: os.environ[key] for key in
-                       ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                        "MKL_NUM_THREADS") if key in os.environ},
+        **environment(),
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"record: {args.out}")

@@ -107,11 +107,6 @@ class OracleMode:
         return self.B + self.C
 
     @property
-    def inclusion_trace_coeff(self) -> float:
-        """Coefficient of ``trig`` in the trace on the inclusion circle."""
-        return self.A * self.r0 ** self.m
-
-    @property
     def interior_flux_coeff(self) -> float:
         """Coefficient of ``trig`` in the interior normal derivative on
         the inclusion circle (derivative of the inside branch)."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,8 @@ from .config import ExperimentConfig
 from .disk_oracle import (oracle_limit_trace_coefficient,
                           oracle_transmission_mode)
 from .exceptions import ConditioningError, ConfigError, SolverError
-from .geometry import (InclusionScene, distance_to_boundary,
-                       hausdorff_distance, modified_distance,
-                       parse_curve_spec)
+from .geometry import InclusionScene, hausdorff_distance, parse_curve_spec
+from .green import make_green
 from .layers import SceneOperators, build_scene_operators
 from .spectrum import NPSpectrum, solve_spectrum
 from .transmission import (ExpansionResult, expansion_coefficients,
@@ -76,13 +76,15 @@ def _write_csv(path: Path, header: str, rows) -> Path:
     return path
 
 
-def build_operators(config: ExperimentConfig,
-                    inclusion_spec: str | None = None) -> SceneOperators:
+def build_operators(config: ExperimentConfig, inclusion_spec: str | None = None,
+                    green=None) -> SceneOperators:
     """Assemble the dense operator set for the configured scene (with an
-    optional replacement inclusion, used by the stability pairs)."""
-    outer = parse_curve_spec(config.outer, config.n)
+    optional replacement inclusion, used by the stability pairs), on the
+    prebuilt outer kernel ``green`` if one is given."""
+    outer = green.outer if green else parse_curve_spec(config.outer, config.n)
     inclusion = parse_curve_spec(inclusion_spec or config.inclusion, config.n)
-    return build_scene_operators(InclusionScene(outer, inclusion, config.k0))
+    return build_scene_operators(
+        InclusionScene(outer, inclusion, config.k0), green)
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +122,17 @@ def run_sweep(config: ExperimentConfig, out_dir,
 
     The ladder is one block solve per operator set, and the limits share
     its background.  ``against`` names a second inclusion curve; when
-    given, the sup over the ladder of the trace distance between the two
-    scenes' solutions is recorded in the result (the quantity the
-    stability experiment ranks pairs by).
+    given, it shares the outer kernel, and the sup over the ladder of the
+    trace distance between the two scenes' solutions is recorded in the
+    result (the quantity the stability experiment ranks pairs by).
 
     A solver failure, or a non-finite result at some ladder point,
     flushes the rows before it with a ``# aborted`` marker line and
     raises.
     """
     ops = build_operators(config)
-    ops_b = build_operators(config, against) if against is not None else None
+    ops_b = None if against is None else \
+        build_operators(config, against, ops.green)
     outer = ops.scene.outer
     f = config.data_vector(outer.t)
     ks = config.k_ladder()
@@ -243,11 +246,8 @@ def triple_log_reference(lam: float) -> float:
     return math.nan
 
 
-def _ladder_trace_gap(ops_a: SceneOperators, ops_b: SceneOperators,
-                      f: np.ndarray, ks) -> float:
-    return float(np.max(trace_distance(
-        ops_a.scene.outer, solve_transmission(ops_a, f, ks).outer_trace(),
-        solve_transmission(ops_b, f, ks).outer_trace())))
+def _ladder_trace_gap(outer, tr_a: np.ndarray, tr_b: np.ndarray) -> float:
+    return float(np.max(trace_distance(outer, tr_a, tr_b)))
 
 
 def rank_correlation(x, y) -> float:
@@ -267,15 +267,21 @@ def rank_correlation(x, y) -> float:
     return float(rx @ ry) / denom if denom > 0 else math.nan
 
 
-def _warn_if_separated(pair_id: int, a, b) -> None:
+def _pair_distance(pair_id: int, a, b) -> float:
+    """``d_H`` of two curves, which for curves without holes is also
+    ``d_m``, from one ``locate`` per direction; warns if they do not touch."""
+    located = [q.locate(p.nodes) for p, q in ((a, b), (b, a))]
+    gap = min(float(np.min(d)) for d, _, _ in located)
     tol = 3.0 * max(a.max_spacing(), b.max_spacing())
-    gap = min(float(np.min(distance_to_boundary(b, a.nodes))),
-              float(np.min(distance_to_boundary(a, b.nodes))))
     if gap > tol:
         log.warning(
             "stability pair %d: inclusion boundaries do not touch "
             "(min gap %.3g exceeds %.3g); the contact assumption behind "
             "the stability comparison is violated", pair_id, gap, tol)
+    if a.kind == b.kind == "circle":
+        return hausdorff_distance(a, b)  # the closed form
+    return max(max(0.0, float(np.max(np.where(unsure | inside, 0.0, d))))
+               for d, inside, unsure in located)
 
 
 def run_stability(config: ExperimentConfig, out_dir) -> list[StabilityRow]:
@@ -287,29 +293,30 @@ def run_stability(config: ExperimentConfig, out_dir) -> list[StabilityRow]:
     zero row with an undefined reference value.  With at least two
     pairs, a non-positive Spearman rank correlation between ``d_H`` and
     the trace gap raises AssertionError (after the CSV is written).
+    One outer kernel serves the run, and each distinct inclusion gets one
+    operator set and one ladder solve, of which only the traces are kept.
     """
     if not config.stability_pairs:
         raise ConfigError("stability experiment needs [stability] pairs "
                           "or an offset ladder")
-    ks = config.k_ladder()
+    green = make_green(parse_curve_spec(config.outer, config.n))
+    f, ks = config.data_vector(green.outer.t), config.k_ladder()
+
+    @cache  # per run: an inclusion's curve and (n, K) ladder outer traces
+    def ladder(spec: str) -> tuple:
+        ops = build_operators(config, spec, green)
+        return ops.curve, solve_transmission(ops, f, ks).outer_trace()
+
     rows: list[StabilityRow] = []
     for pair_id, (spec_a, spec_b) in enumerate(config.stability_pairs, 1):
         if spec_a == spec_b:
             rows.append(StabilityRow(pair_id, 0.0, 0.0, 0.0, math.nan))
             continue
-        ops_a = build_operators(config, spec_a)
-        ops_b = build_operators(config, spec_b)
-        inc_a, inc_b = ops_a.scene.inclusion, ops_b.scene.inclusion
-        _warn_if_separated(pair_id, inc_a, inc_b)
-        f = config.data_vector(ops_a.scene.outer.t)
-        lam = _ladder_trace_gap(ops_a, ops_b, f, ks)
-        rows.append(StabilityRow(
-            pair_id=pair_id,
-            d_h=hausdorff_distance(inc_a, inc_b),
-            d_m=modified_distance(inc_a, inc_b),
-            lam=lam,
-            reference=triple_log_reference(lam),
-        ))
+        (inc_a, tr_a), (inc_b, tr_b) = ladder(spec_a), ladder(spec_b)
+        d_h = _pair_distance(pair_id, inc_a, inc_b)
+        lam = _ladder_trace_gap(green.outer, tr_a, tr_b)
+        rows.append(StabilityRow(pair_id, d_h, d_h, lam,
+                                 triple_log_reference(lam)))
     _write_csv(Path(out_dir) / "stability.csv", STABILITY_HEADER,
                [(str(r.pair_id), format_number(r.d_h), format_number(r.d_m),
                  format_number(r.lam), format_number(r.reference))

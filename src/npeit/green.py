@@ -25,12 +25,13 @@ throughout the domain and symmetric.  Two constructions are provided:
 
 Both expose the same small surface used by the layer assembly: pairwise
 kernel and correction values, the correction gradient in the first
-argument, and the kernel trace on the outer nodes.
+argument, the kernel trace on the outer nodes, and one ``neumann`` solver.
 """
 
 from __future__ import annotations
 
 import logging
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -95,6 +96,10 @@ class DiskGreen:
         self.outer = outer
         self.center = outer.center
         self.radius = float(outer.params[0])
+
+    @cached_property
+    def neumann(self) -> InteriorNeumannSolver:  # built on first use
+        return InteriorNeumannSolver(self.outer)
 
     # -- geometry guards ------------------------------------------------------
 

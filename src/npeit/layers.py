@@ -36,8 +36,7 @@ import scipy.linalg
 
 from .exceptions import EvaluationDomainError
 from .geometry import BoundaryCurve, InclusionScene, distance_to_boundary
-from .green import (_EVAL_MARGIN_SPACINGS, InteriorNeumannSolver, NumericGreen,
-                    make_green)
+from .green import _EVAL_MARGIN_SPACINGS, make_green
 from .quadrature import (
     free_adjoint_double_layer_self,
     free_single_layer_eval,
@@ -189,13 +188,6 @@ class SceneOperators:
         b = p.T @ self.s_hat @ p
         mu, y = scipy.linalg.eigh(0.5 * (a + a.T), b)
         return mu, y, y.T @ b
-
-    @cached_property
-    def neumann(self) -> InteriorNeumannSolver:
-        """Interior Neumann solver on the outer curve."""
-        if isinstance(self.green, NumericGreen):
-            return self.green.neumann
-        return InteriorNeumannSolver(self.scene.outer)
 
     @cached_property
     def background_maps(self) -> tuple[np.ndarray, np.ndarray]:

@@ -109,13 +109,13 @@ def solve_background(ops: SceneOperators, f: np.ndarray) -> BackgroundField:
     f = np.asarray(f, dtype=float)
     removed = outer.mean(f)
     h = f - removed
-    psi, border = ops.neumann.solve(h / ops.scene.k0)
+    psi, border = ops.green.neumann.solve(h / ops.scene.k0)
     if np.max(np.abs(border)) > 1e-8 * max(1.0, float(np.max(np.abs(h)))):
         raise SolverError(
             f"background solve compatibility defect {float(np.max(np.abs(border))):.3e}"
         )
     psi = psi.reshape(h.shape)
-    raw_trace = ops.neumann.s_self @ psi
+    raw_trace = ops.green.neumann.s_self @ psi
     constant = -outer.mean(raw_trace)
     values_map, flux_map = ops.background_maps
     return BackgroundField(scene=ops.scene, f=h, psi=psi, constant=constant,

@@ -547,7 +547,7 @@ class TestSerialDrivers:
         calls = []
 
         def recording(ops, f, k):
-            calls.append((id(ops), tuple(np.atleast_1d(k)),
+            calls.append((ops, tuple(np.atleast_1d(k)),
                           threading.current_thread() is threading.main_thread()))
             return real(ops, f, k)
 
@@ -557,11 +557,14 @@ class TestSerialDrivers:
         assert len(calls) == 1
         run_sweep(sweep, tmp_path, against="circle 0.1 0 0.4")
         assert len(calls) == 1 + 2
-        assert calls[1][0] != calls[2][0]
+        assert calls[1][0] is not calls[2][0]
         assert all(ks == tuple(sweep.k_ladder()) for _, ks, _ in calls)
         stability = parse_config(TANGENT_LADDER)
         run_stability(stability, tmp_path)
-        assert len(calls) == 3 + 3 * 2  # three pairs, two operator sets each
+        # three pairs on one reference disk: four distinct inclusions, one
+        # ladder each, each on its own operator set
+        assert len(calls) == 3 + 4
+        assert len({id(ops) for ops, _, _ in calls[3:]}) == 4  # all alive
         assert all(ks == tuple(stability.k_ladder()) for _, ks, _ in calls[3:])
         assert all(on_main for _, _, on_main in calls)
 
