@@ -108,13 +108,20 @@ class ExperimentConfig:
         return out
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def parse_f_terms(text: str) -> tuple[FourierTerm, ...]:
     terms = []
     for tok in text.split():
         parts = tok.split(":")
         try:
             if parts[0] == "const" and len(parts) == 2:
-                terms.append(FourierTerm("const", 0, float(parts[1])))
+                terms.append(FourierTerm("const", 0, _finite(parts[1])))
                 continue
             if parts[0] in ("cos", "sin") and len(parts) == 3:
                 m = int(parts[1])
@@ -122,7 +129,7 @@ def parse_f_terms(text: str) -> tuple[FourierTerm, ...]:
                     raise ConfigError(
                         f"harmonic order must be >= 1 in {tok!r} "
                         "(use const:v for the constant term)")
-                terms.append(FourierTerm(parts[0], m, float(parts[2])))
+                terms.append(FourierTerm(parts[0], m, _finite(parts[2])))
                 continue
         except ConfigError:
             raise
@@ -184,9 +191,9 @@ def _stability_pairs(parser, n: int) -> tuple[tuple[str, str], ...]:
         if len(center) != 2:
             raise ConfigError("[stability] center must be two numbers")
         try:
-            cx, cy = float(center[0]), float(center[1])
-            radius = float(parser.get("stability", "radius", fallback="0.4"))
-            offsets = [float(tok)
+            cx, cy = _finite(center[0]), _finite(center[1])
+            radius = _finite(parser.get("stability", "radius", fallback="0.4"))
+            offsets = [_finite(tok)
                        for tok in parser.get("stability", "offsets").split()]
         except ValueError as exc:
             raise ConfigError(f"[stability] {exc}") from exc
@@ -230,13 +237,13 @@ def parse_config(text: str) -> ExperimentConfig:
         inclusion=_canonical_curve(
             _get(parser, "scene", "inclusion", defaults.inclusion, str), n),
         n=n,
-        k0=_get(parser, "physics", "k0", defaults.k0, float, positive=True),
+        k0=_get(parser, "physics", "k0", defaults.k0, _finite, positive=True),
         f_terms=(parse_f_terms(parser.get("physics", "f"))
                  if parser.has_option("physics", "f") else defaults.f_terms),
         ladder_base=_get(parser, "sweep", "base", defaults.ladder_base,
-                         float, positive=True),
+                         _finite, positive=True),
         ladder_ratio=_get(parser, "sweep", "ratio", defaults.ladder_ratio,
-                          float, positive=True),
+                          _finite, positive=True),
         ladder_count=_get(parser, "sweep", "count", defaults.ladder_count,
                           int, positive=True),
         n_modes=_get(parser, "spectrum", "n_modes", defaults.n_modes,
@@ -254,7 +261,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse_config(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 

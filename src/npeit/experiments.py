@@ -95,16 +95,13 @@ def build_operators(config: ExperimentConfig, inclusion_spec: str | None = None,
 class SweepResult:
     """Per-ladder-point distances to the two high-contrast limits and the
     gradient-bound ratio, plus the fitted log-log decay slope of the
-    grounded-limit distance (over the last four points).  ``lam`` is the
-    sup over the ladder of the trace distance to a second inclusion's
-    solution when one was supplied, else None."""
+    grounded-limit distance (over the last four points)."""
 
     ks: tuple[float, ...]
     dist_dirichlet: tuple[float, ...]
     dist_conductor: tuple[float, ...]
     grad_ratio: tuple[float, ...]
     slope: float | None
-    lam: float | None = None
 
 
 def _fit_tail_slope(ks, dists, tail: int = 4) -> float | None:
@@ -115,24 +112,17 @@ def _fit_tail_slope(ks, dists, tail: int = 4) -> float | None:
     return float(np.polyfit(np.log(k[keep]), np.log(d[keep]), 1)[0])
 
 
-def run_sweep(config: ExperimentConfig, out_dir,
-              against: str | None = None) -> SweepResult:
+def run_sweep(config: ExperimentConfig, out_dir) -> SweepResult:
     """Sweep the conductivity ladder and measure convergence to the
     high-contrast limits; writes ``sweep.csv``.
 
-    The ladder is one block solve per operator set, and the limits share
-    its background.  ``against`` names a second inclusion curve; when
-    given, it shares the outer kernel, and the sup over the ladder of the
-    trace distance between the two scenes' solutions is recorded in the
-    result (the quantity the stability experiment ranks pairs by).
+    The ladder is one block solve, and the limits share its background.
 
     A solver failure, or a non-finite result at some ladder point,
     flushes the rows before it with a ``# aborted`` marker line and
     raises.
     """
     ops = build_operators(config)
-    ops_b = None if against is None else \
-        build_operators(config, against, ops.green)
     outer = ops.scene.outer
     f = config.data_vector(outer.t)
     ks = config.k_ladder()
@@ -149,12 +139,10 @@ def run_sweep(config: ExperimentConfig, out_dir,
         d_dir = trace_distance(outer, tr, grounded.trace[:, None])
         d_con = trace_distance(outer, tr, conductor.trace[:, None])
         ratio = sol.gradient_bound(bound_limit, trace_constant(ops)).ratio
-        gap = np.zeros(len(ks)) if ops_b is None else trace_distance(
-            outer, tr, solve_transmission(ops_b, f, ks).outer_trace())
-        for row in zip(ks, d_dir, d_con, ratio, gap):
+        for row in zip(ks, d_dir, d_con, ratio):
             if not np.all(np.isfinite(row)):
                 raise SolverError(f"non-finite ladder solution at k={row[0]:g}")
-            rows.append(tuple(map(format_number, row[:4])))
+            rows.append(tuple(map(format_number, row)))
     except (SolverError, ConditioningError) as exc:
         rows.append(f"# aborted: {exc}")
         _write_csv(path, SWEEP_HEADER, rows)
@@ -164,8 +152,7 @@ def run_sweep(config: ExperimentConfig, out_dir,
     return SweepResult(ks=tuple(ks), dist_dirichlet=tuple(d_dir.tolist()),
                        dist_conductor=tuple(d_con.tolist()),
                        grad_ratio=tuple(ratio.tolist()),
-                       slope=_fit_tail_slope(ks, d_dir),
-                       lam=float(np.max(gap)) if ops_b is not None else None)
+                       slope=_fit_tail_slope(ks, d_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +179,14 @@ def run_spectrum(config: ExperimentConfig, out_dir) -> NPSpectrum:
     return NPSpectrum(selected, ops)
 
 
-def _truncate_per_family(modes, j: int):
-    counts: dict[str, int] = {}
-    kept = []
-    for mode in modes:
-        seen = counts.get(mode.family, 0)
-        if seen < j:
-            kept.append(mode)
-            counts[mode.family] = seen + 1
-    return kept
-
-
 def run_expansion(config: ExperimentConfig, out_dir) -> ExpansionResult:
     """Expand the transmission solution at the ladder base conductivity
     over the leading ``j`` modes of each family, reporting both
     coefficient routes and their gap; writes ``expansion.csv``."""
     ops = build_operators(config)
-    spectrum = solve_spectrum(ops, max(config.n_modes, config.j_trunc))
-    selected = _truncate_per_family(spectrum.modes, config.j_trunc)
     f = config.data_vector(ops.scene.outer.t)
-    result = expansion_coefficients(ops, NPSpectrum(selected, ops), f,
-                                    config.ladder_base)
+    result = expansion_coefficients(ops, solve_spectrum(ops, config.j_trunc),
+                                    f, config.ladder_base)
     rows = [(mode.family, str(mode.index), format_number(a_sys),
              format_number(a_proj), format_number(abs(a_sys - a_proj)))
             for mode, a_sys, a_proj in zip(result.modes, result.a_system,

@@ -42,7 +42,6 @@ __all__ = [
     "rotated",
     "parse_curve_spec",
     "curve_spec_string",
-    "contains",
     "winding_number",
     "distance_to_boundary",
     "region_distance",
@@ -217,6 +216,9 @@ def _build_curve(kind, center, params, n) -> BoundaryCurve:
     t = 2.0 * np.pi * np.arange(n) / n
 
     q = _eval_point(kind, center, params, t)
+    if not np.all(np.isfinite(q)):
+        raise CurveError(f"{kind} with center {center.tolist()} and "
+                         f"parameters {params} has non-finite nodes")
     qp = _eval_derivative(kind, center, params, t)
 
     if kind == "circle":
@@ -400,11 +402,6 @@ def winding_number(curve: BoundaryCurve, x) -> int:
     dang = np.diff(np.concatenate([ang, ang[:1]]))
     dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
     return int(round(np.sum(dang) / (2.0 * np.pi)))
-
-
-def contains(curve: BoundaryCurve, x) -> bool:
-    """Module-level alias for :meth:`BoundaryCurve.contains`."""
-    return curve.contains(x)
 
 
 def distance_to_boundary(curve: BoundaryCurve, x):

@@ -302,16 +302,7 @@ class NumericGreen:
                 + self.neumann.s_self @ psi + const[None, :])
 
 
-def make_green(outer: BoundaryCurve, method: str = "auto"):
-    """Choose the outer-kernel construction.
-
-    ``auto`` takes the closed form for circles and the numeric path
-    otherwise; ``disk`` and ``numeric`` force the respective classes.
-    """
-    if method == "auto":
-        method = "disk" if outer.kind == "circle" else "numeric"
-    if method == "disk":
-        return DiskGreen(outer)
-    if method == "numeric":
-        return NumericGreen(outer)
-    raise ValueError(f"unknown green construction {method!r}")
+def make_green(outer: BoundaryCurve):
+    """The outer kernel: the closed form for a circle, the numeric path
+    otherwise."""
+    return DiskGreen(outer) if outer.kind == "circle" else NumericGreen(outer)

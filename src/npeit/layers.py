@@ -81,9 +81,9 @@ class SceneOperators:
         the potential trace on the inclusion is ``-s_plain @ g``.
     kstar_plain : ndarray
         Flux-average operator on nodal values.
-    s_hat, kstar_hat, k_hat : ndarray
+    s_hat, kstar_hat : ndarray
         Hat-space versions; ``s_hat`` is exactly symmetric and
-        ``k_hat = kstar_hat.T``.
+        ``kstar_hat.T`` is the hat-space ``K``.
     mean_free : ndarray, shape (n, n-1)
         Orthonormal basis of the mean-free hat subspace.
     correction_defect : float
@@ -97,7 +97,6 @@ class SceneOperators:
     kstar_plain: np.ndarray = field(repr=False)
     s_hat: np.ndarray = field(repr=False)
     kstar_hat: np.ndarray = field(repr=False)
-    k_hat: np.ndarray = field(repr=False)
     sqrt_w: np.ndarray = field(repr=False)
     mean_free: np.ndarray = field(repr=False)
     correction_defect: float = 0.0
@@ -137,15 +136,14 @@ class SceneOperators:
 
     # -- energy forms ---------------------------------------------------------
 
-    def energy_norm2(self, g: np.ndarray, h: np.ndarray | None = None) -> float:
-        """``(g | S h)`` = full-domain gradient energy of the potentials."""
-        h = g if h is None else h
-        return float(self.hat(g) @ (self.s_hat @ self.hat(h)))
+    def energy_norm2(self, g: np.ndarray) -> float:
+        """``(g | S g)`` = full-domain gradient energy of the potential."""
+        return float(self.hat(g) @ (self.s_hat @ self.hat(g)))
 
-    def energy_difference(self, g: np.ndarray, h: np.ndarray | None = None) -> float:
-        """Interior-minus-exterior gradient energy, ``-2 (g | K S h)``."""
-        h = g if h is None else h
-        return float(-2.0 * self.hat(g) @ (self.k_hat @ (self.s_hat @ self.hat(h))))
+    def energy_difference(self, g: np.ndarray) -> float:
+        """Interior-minus-exterior gradient energy, ``-2 (g | K S g)``."""
+        g_hat = self.hat(g)
+        return float(-2.0 * g_hat @ (self.kstar_hat.T @ (self.s_hat @ g_hat)))
 
     def energy_quotient(self, g: np.ndarray) -> float:
         """Rayleigh quotient of the difference form against the energy."""
@@ -156,10 +154,9 @@ class SceneOperators:
 
     # -- fields ---------------------------------------------------------------
 
-    def potential(self, g: np.ndarray, constant: float = 0.0) -> "PotentialField":
+    def potential(self, g: np.ndarray) -> "PotentialField":
         """Single-layer potential of nodal density ``g`` on the inclusion."""
-        return PotentialField(self.green, self.curve, np.asarray(g, float),
-                              float(constant))
+        return PotentialField(self.green, self.curve, np.asarray(g, float))
 
     def outer_trace(self, g: np.ndarray) -> np.ndarray:
         """Trace of the potential of ``g`` (a vector or columns) on the
@@ -199,20 +196,10 @@ class SceneOperators:
                 np.einsum("pjd,pd->pj", grad, curve.normals))
 
 
-def build_scene_operators(scene: InclusionScene, green=None,
-                          method: str = "auto") -> SceneOperators:
-    """Assemble the boundary operators of a scene.
-
-    Parameters
-    ----------
-    scene : InclusionScene
-    green : optional
-        Prebuilt outer kernel (otherwise constructed per ``method``).
-    method : str
-        Passed to :func:`npeit.green.make_green` when building the kernel.
-    """
-    if green is None:
-        green = make_green(scene.outer, method)
+def build_scene_operators(scene: InclusionScene, green=None) -> SceneOperators:
+    """Assemble the boundary operators of a scene against the prebuilt
+    outer kernel ``green`` (by default :func:`npeit.green.make_green`)."""
+    green = green or make_green(scene.outer)
     curve = scene.inclusion
     w = curve.weights
     sqrt_w = np.sqrt(w)
@@ -239,14 +226,14 @@ def build_scene_operators(scene: InclusionScene, green=None,
 
     return SceneOperators(
         scene=scene, green=green, s_plain=s_plain, kstar_plain=kstar_plain,
-        s_hat=s_hat, kstar_hat=kstar_hat, k_hat=kstar_hat.T.copy(),
+        s_hat=s_hat, kstar_hat=kstar_hat,
         sqrt_w=sqrt_w, mean_free=basis, correction_defect=defect,
     )
 
 
 @dataclass
 class PotentialField:
-    """Single-layer potential ``x -> int N(x, y) g(y) dsigma(y) + c``.
+    """Single-layer potential ``x -> int N(x, y) g(y) dsigma(y)``.
 
     Evaluation is restricted to points at least three node spacings away
     from the source curve (the trapezoidal rule degrades closer in) and
@@ -257,7 +244,6 @@ class PotentialField:
     green: object
     source: BoundaryCurve
     density: np.ndarray
-    constant: float = 0.0
 
     def _guard(self, pts):
         margin = _EVAL_MARGIN_SPACINGS * self.source.max_spacing()
@@ -274,7 +260,7 @@ class PotentialField:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         self._guard(pts)
         gw = self.density * self.source.weights
-        return self.green.kernel(pts, self.source.nodes) @ gw + self.constant
+        return self.green.kernel(pts, self.source.nodes) @ gw
 
     def gradient(self, points) -> np.ndarray:
         """Field gradient at interior points away from the source curve."""

@@ -603,7 +603,7 @@ def expansion_coefficients(ops: SceneOperators, spectrum: NPSpectrum,
     densities = np.column_stack([m.density for m in modes])
     dens_hat = ops.sqrt_w[:, None] * densities
     e_gram = dens_hat.T @ (ops.s_hat @ dens_hat)
-    d_gram = -2.0 * dens_hat.T @ (ops.k_hat @ (ops.s_hat @ dens_hat))
+    d_gram = -2.0 * dens_hat.T @ (ops.kstar_hat.T @ (ops.s_hat @ dens_hat))
     interior_gram = 0.5 * (e_gram + d_gram)
     interior_gram = 0.5 * (interior_gram + interior_gram.T)
 

@@ -104,7 +104,7 @@ def test_03_symmetrization_and_definiteness():
     ]:
         ops = build_scene_operators(scene)
         defect = np.max(np.abs(ops.s_hat @ ops.kstar_hat
-                               - ops.k_hat @ ops.s_hat))
+                               - ops.kstar_hat.T @ ops.s_hat))
         if defect > tol:
             failures.append(f"{label} symmetrization defect {defect:.3g} "
                             f"> {tol:g}")

@@ -17,7 +17,6 @@ from npeit.geometry import (
     InclusionScene,
     RegionWithHole,
     conductivity_at,
-    contains,
     curve_spec_string,
     distance_to_boundary,
     hausdorff_distance,

@@ -205,9 +205,6 @@ class TestNumericGreen:
         star = make_star((0, 0), 1.0, [(3, 0.1)], 64)
         assert isinstance(make_green(circ), DiskGreen)
         assert isinstance(make_green(star), NumericGreen)
-        assert isinstance(make_green(circ, "numeric"), NumericGreen)
-        with pytest.raises(ValueError):
-            make_green(circ, "exact")
 
 
 # ---------------------------------------------------------------------------

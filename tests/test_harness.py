@@ -34,6 +34,7 @@ from npeit.experiments import (EXPANSION_HEADER, ORACLE_HEADER,
                                run_expansion, run_oracle_check,
                                run_spectrum, run_stability, run_sweep,
                                triple_log_reference)
+from npeit.spectrum import solve_spectrum
 
 MINI_SCENE = """
 [scene]
@@ -44,6 +45,8 @@ n = 64
 [sweep]
 count = 4
 """
+
+STAR_SCENE = MINI_SCENE.replace("circle 0 0 0.5", "star 0.05 0 0.4 3:0.05")
 
 TANGENT_LADDER = """
 [scene]
@@ -228,7 +231,6 @@ class TestSweep:
         assert all(a > b for a, b in zip(d, d[1:]))
         assert result.slope is not None and result.slope <= -0.45
         assert all(r <= 1.0 for r in result.grad_ratio)
-        assert result.lam is None
         header, rows = read_rows(tmp_path / "sweep.csv")
         assert header == SWEEP_HEADER
         assert len(rows) == 6
@@ -260,11 +262,6 @@ count = 5
         # grounded-limit distance stalls at the net-flux gap
         assert d_dir[-1] > 0.1
         assert abs(d_dir[-1] - d_dir[-2]) < 0.01 * d_dir[-1]
-
-    def test_second_inclusion_records_trace_gap(self, tmp_path):
-        config = parse_config(MINI_SCENE)
-        result = run_sweep(config, tmp_path, against="circle 0.1 0 0.4")
-        assert result.lam is not None and result.lam > 1e-3
 
     def test_solver_failure_flushes_partial_csv(self, tmp_path, monkeypatch):
         # the ladder is one batched call: poison its columns for k >= 64
@@ -328,6 +325,32 @@ class TestSpectrumExpansion:
                                       result.a_projection):
             assert float(row[2]) == a_sys
             assert float(row[3]) == a_proj
+
+    @pytest.mark.parametrize("n_modes, j", [(16, 8), (20, 8), (8, 16),
+                                            (20, 20)])
+    def test_spectrum_of_j_is_the_per_family_truncation(self, n_modes, j):
+        # the expansion used to solve max(n_modes, j) modes per family and
+        # keep the leading j of each; solving j keeps the same modes
+        ops = experiments.build_operators(parse_config(STAR_SCENE))
+        wide, seen = [], {}
+        for mode in solve_spectrum(ops, max(n_modes, j)).modes:
+            seen[mode.family] = seen.get(mode.family, 0) + 1
+            if seen[mode.family] <= j:
+                wide.append(mode)
+        kept = solve_spectrum(ops, j).modes
+        assert [(m.family, m.index, m.mu, m.lam, m.residual) for m in kept] \
+            == [(m.family, m.index, m.mu, m.lam, m.residual) for m in wide]
+        assert all(np.array_equal(a.density, b.density)
+                   for a, b in zip(kept, wide))
+
+    def test_expand_solves_no_unused_modes(self, tmp_path, caplog):
+        config = parse_config(STAR_SCENE + "\n[spectrum]\nn_modes = 20\nj = 8\n")
+        with caplog.at_level("WARNING", logger="npeit.spectrum"):
+            run_expansion(config, tmp_path)
+            assert caplog.messages == []
+            # solving n_modes, as the expansion used to, clips and warns
+            solve_spectrum(experiments.build_operators(config), 20)
+        assert "exceeds the resolution cap 16" in caplog.messages[0]
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +522,25 @@ dir = {tmp_path / "nested" / "results"}
                          "--out", str(tmp_path)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, cause", [
+        ((MINI_SCENE + "[physics]\nk0 = nan\n").encode(), "k0 = 'nan'"),
+        ((MINI_SCENE + "[physics]\nf = cos:1:nan\n").encode(), "'cos:1:nan'"),
+        ((MINI_SCENE + "[physics]\nf = cos:1:inf\n").encode(), "'cos:1:inf'"),
+        (MINI_SCENE.replace("count = 4", "base = inf").encode(),
+         "base = 'inf'"),
+        (MINI_SCENE.replace("0 0 0.5", "0 0 nan").encode(),
+         "parameters (nan,) has non-finite nodes"),
+        (b"[scene]\nn = 64 \xff\n", "exp.cfg"),
+    ], ids=["k0-nan", "f-nan", "f-inf", "base-inf", "inclusion-nan",
+            "invalid-utf8"])
+    def test_nonfinite_or_undecodable_config_exit_two(self, tmp_path, capsys,
+                                                      data, cause):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(data)
+        assert cli.main(["sweep", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 2
+        assert cause in capsys.readouterr().err
+
     def test_missing_config_exit_two(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "no.cfg"),
                          "--out", str(tmp_path)]) == 2
@@ -555,17 +597,14 @@ class TestSerialDrivers:
         sweep = parse_config(MINI_SCENE)
         run_sweep(sweep, tmp_path)
         assert len(calls) == 1
-        run_sweep(sweep, tmp_path, against="circle 0.1 0 0.4")
-        assert len(calls) == 1 + 2
-        assert calls[1][0] is not calls[2][0]
-        assert all(ks == tuple(sweep.k_ladder()) for _, ks, _ in calls)
+        assert calls[0][1] == tuple(sweep.k_ladder())
         stability = parse_config(TANGENT_LADDER)
         run_stability(stability, tmp_path)
         # three pairs on one reference disk: four distinct inclusions, one
         # ladder each, each on its own operator set
-        assert len(calls) == 3 + 4
-        assert len({id(ops) for ops, _, _ in calls[3:]}) == 4  # all alive
-        assert all(ks == tuple(stability.k_ladder()) for _, ks, _ in calls[3:])
+        assert len(calls) == 1 + 4
+        assert len({id(ops) for ops, _, _ in calls[1:]}) == 4  # all alive
+        assert all(ks == tuple(stability.k_ladder()) for _, ks, _ in calls[1:])
         assert all(on_main for _, _, on_main in calls)
 
 

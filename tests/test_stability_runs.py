@@ -2,8 +2,7 @@
 
 ``run_stability`` builds one outer kernel per run, one operator set and
 one ladder solve per distinct inclusion, and one ``locate`` per pair
-direction; ``run_sweep`` with a second inclusion builds both operator
-sets on one kernel.  Pinned behavior:
+direction.  Pinned behavior:
   * every stability row equals, bit for bit, the per-pair path: fresh
     operator sets per pair, ``hausdorff_distance``, ``modified_distance``
     and the trace distance of two fresh ladder solves; on a star family
@@ -23,7 +22,7 @@ import pytest
 
 from npeit import experiments
 from npeit.config import parse_config
-from npeit.experiments import (build_operators, run_stability, run_sweep,
+from npeit.experiments import (build_operators, run_stability,
                                triple_log_reference)
 from npeit.geometry import (BoundaryCurve, hausdorff_distance,
                             modified_distance)
@@ -150,28 +149,6 @@ def test_one_kernel_and_one_ladder_per_distinct_inclusion(
     # one node-to-curve pass per pair direction, none for disk pairs
     star_pairs = name != "tangent disks"
     assert counts["star locate"] == (2 * pairs if star_pairs else 0)
-
-
-def test_sweep_against_shares_the_kernel(tmp_path, monkeypatch):
-    spec_a, spec_b = STAR_ELLIPSE.stability_pairs[0]
-    config = parse_config(SCENE.format(outer="ellipse 0 0 1.3 0.9")
-                          .replace("circle 0 0 0.3", spec_a))
-    alone, shared = tmp_path / "alone", tmp_path / "shared"
-    alone.mkdir(), shared.mkdir()
-    run_sweep(config, alone)
-    counts = count_work(monkeypatch)
-    result = run_sweep(config, shared, against=spec_b)
-    assert counts["green"] == 1 and counts["neumann"] == 1
-    assert counts["operator sets"] == 2
-    assert (alone / "sweep.csv").read_bytes() \
-        == (shared / "sweep.csv").read_bytes()
-    monkeypatch.undo()
-    ks = config.k_ladder()
-    ops_a, ops_b = build_operators(config), build_operators(config, spec_b)
-    f = config.data_vector(ops_a.scene.outer.t)
-    assert result.lam == float(np.max(trace_distance(
-        ops_a.scene.outer, solve_transmission(ops_a, f, ks).outer_trace(),
-        solve_transmission(ops_b, f, ks).outer_trace())))
 
 
 def contact_warnings(config, tmp_path, caplog) -> list[str]:
