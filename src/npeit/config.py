@@ -30,7 +30,8 @@ small grammar for curves and boundary data::
     dir = out
 
 Boundary data terms are ``const:v``, ``cos:m:v``, ``sin:m:v`` in the
-curve parameter of the outer boundary.  The stability section accepts
+curve parameter of the outer boundary, with ``m < n/2`` so that the ``n``
+nodes resolve each harmonic.  The stability section accepts
 either explicit ``pairs`` (one per line, two curve specs joined by
 ``;``) or a tangent-disk ladder via ``center``, ``radius`` and
 ``offsets`` (each offset ``t`` pairs the base disk with the internally
@@ -231,6 +232,14 @@ def parse_config(text: str) -> ExperimentConfig:
     if n % 2 != 0 or n < 8:
         raise ConfigError(f"[scene] n must be an even integer >= 8, got {n}")
 
+    f_terms = (parse_f_terms(parser.get("physics", "f"))
+               if parser.has_option("physics", "f") else defaults.f_terms)
+    for term in f_terms:
+        if term.m >= n // 2:
+            raise ConfigError(
+                f"[physics] data term {term.render()!r} has harmonic order "
+                f"{term.m} >= n/2; n = {n} nodes cannot resolve it")
+
     config = ExperimentConfig(
         outer=_canonical_curve(
             _get(parser, "scene", "outer", defaults.outer, str), n),
@@ -238,8 +247,7 @@ def parse_config(text: str) -> ExperimentConfig:
             _get(parser, "scene", "inclusion", defaults.inclusion, str), n),
         n=n,
         k0=_get(parser, "physics", "k0", defaults.k0, _finite, positive=True),
-        f_terms=(parse_f_terms(parser.get("physics", "f"))
-                 if parser.has_option("physics", "f") else defaults.f_terms),
+        f_terms=f_terms,
         ladder_base=_get(parser, "sweep", "base", defaults.ladder_base,
                          _finite, positive=True),
         ladder_ratio=_get(parser, "sweep", "ratio", defaults.ladder_ratio,

@@ -132,13 +132,12 @@ def run_sweep(config: ExperimentConfig, out_dir) -> SweepResult:
         sol = solve_transmission(ops, f, ks)
         tr, bg = sol.outer_trace(), sol.background
         grounded = solve_limit(ops, f, "grounded", bg)
+        # the mean-free grounded limit up to a constant, which the
+        # gradient bound compares against
         conductor = solve_limit(ops, f, "conductor", bg)
-        # the gradient bound compares against the mean-free problem
-        bound_limit = grounded if grounded.beta == 0.0 else \
-            solve_limit(ops, bg.f, "grounded", bg)
         d_dir = trace_distance(outer, tr, grounded.trace[:, None])
         d_con = trace_distance(outer, tr, conductor.trace[:, None])
-        ratio = sol.gradient_bound(bound_limit, trace_constant(ops)).ratio
+        ratio = sol.gradient_bound(conductor, trace_constant(ops)).ratio
         for row in zip(ks, d_dir, d_con, ratio):
             if not np.all(np.isfinite(row)):
                 raise SolverError(f"non-finite ladder solution at k={row[0]:g}")

@@ -171,15 +171,11 @@ class SceneOperators:
         return self.green.outer_trace_kernel(self.curve.nodes) * self.curve.weights
 
     @cached_property
-    def reduced_kstar(self) -> np.ndarray:
-        """``p^T K*_hat p`` in mean-free hat coordinates."""
-        return self.mean_free.T @ self.kstar_hat @ self.mean_free
-
-    @cached_property
     def pencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(mu, Y, Y^T B)`` of ``A y = mu B y``, ``A = p^T S K* p``
         (symmetrized), ``B = p^T S p``; on mean-free densities
-        ``(lam - K*)^{-1} = Y diag(1/(lam - mu)) Y^T B``."""
+        ``(lam - K*)^{-1} = Y diag(1/(lam - mu)) Y^T B`` and
+        ``B^{-1} = Y Y^T``."""
         p = self.mean_free
         a = p.T @ (self.s_hat @ self.kstar_hat) @ p
         b = p.T @ self.s_hat @ p

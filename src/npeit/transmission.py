@@ -14,10 +14,10 @@ for every positive contrast while ``K*`` has spectral radius below 1/2
 on mean-free densities, the solve is uniformly well posed; it is carried
 out on the mean-free subspace in symmetrized variables.
 
-Two infinite-contrast limits are provided as bordered linear systems:
-the grounded limit (zero trace on the inclusion, arbitrary total input
-flux) and the conductor limit (constant trace, flux-free inclusion,
-mean-free data); for mean-free data the two coincide.  On top of the
+Two infinite-contrast limits are solved on the cached pencil: the
+grounded limit (zero trace on the inclusion, arbitrary total input flux)
+and the conductor limit (constant trace, flux-free inclusion, mean-free
+data); for mean-free data they differ by a constant.  On top of the
 solves sit diagnostics used by the experiments: weighted trace
 distances, gradient energies via boundary identities, an a priori
 gradient bound with a computable trace constant, the ladder of
@@ -193,11 +193,12 @@ class TransmissionSolution:
 
     def gradient_bound(self, limit: "LimitSolution",
                        c0: float) -> "GradientBound":
-        """:func:`gradient_bound` of this solution against the grounded
-        ``limit`` of its mean-free data, with trace constant ``c0``."""
+        """:func:`gradient_bound` of this solution against a flux-free
+        ``limit`` of its data (the conductor limit, or the grounded limit
+        of the mean-free data), with trace constant ``c0``."""
         if limit.beta != 0.0:
-            raise ValueError("gradient bound needs the grounded limit of the "
-                             "mean-free projection (zero net flux)")
+            raise ValueError("gradient bound needs a limit with zero net "
+                             "flux (conductor, or grounded on mean-free data)")
         scene, k, k0 = self.scene, np.asarray(self.k), self.scene.k0
         w_d = scene.inclusion.weights
         tr_u = self.inclusion_trace()
@@ -266,8 +267,8 @@ def _solve_second_kind(ops: SceneOperators, lam,
     ``lam`` one value or one per column (then a vector ``rhs`` is shared).
 
     That resolvent assumes ``K*`` keeps the mean-free subspace invariant,
-    true to quadrature accuracy; one refinement step against the reduced
-    operator ``p^T K* p`` removes the defect."""
+    true to quadrature accuracy; one refinement step against ``p^T K* p``,
+    applied through ``p``, removes the defect."""
     p = ops.mean_free
     mu, y, left = ops.pencil
     lams = np.reshape(lam, -1)
@@ -276,7 +277,7 @@ def _solve_second_kind(ops: SceneOperators, lam,
     scale = 1.0 / (lams - mu[:, None])
     rhs = (p.T @ ops.hat(rhs_plain)).reshape(len(mu), -1)
     sol = y @ (scale * (left @ rhs))
-    resid = rhs - (lams * sol - ops.reduced_kstar @ sol)
+    resid = rhs - (lams * sol - p.T @ (ops.kstar_hat @ (p @ sol)))
     sol = sol + y @ (scale * (left @ resid))
     return ops.unhat(p @ sol).reshape(
         np.shape(rhs_plain) if np.ndim(lam) == 0 else (-1, lams.size))
@@ -293,21 +294,18 @@ class LimitSolution:
     The unnormalized field is ``u0(h) + beta N(., y_c) + (single layer
     of psi) + alpha`` where ``h`` is the mean-free part of ``f``,
     ``beta`` the total input flux over ``k0`` (zero in the conductor
-    case), ``y_c`` the inclusion center, and ``alpha`` the bordered
-    constant.  The stored ``trace`` is zero-mean on the outer boundary
-    (``outer_mean`` was subtracted); ``inclusion_value`` is the constant
-    the normalized solution takes on the inclusion boundary.
+    case), ``y_c`` the inclusion center, and ``alpha`` a constant (zero
+    in the conductor case).  The stored ``trace`` is zero-mean on the
+    outer boundary (``outer_mean`` was subtracted).
     """
 
     ops: SceneOperators
-    kind: str
     background: BackgroundField
     beta: float
     psi: np.ndarray = field(repr=False)
     alpha: float
     outer_mean: float
     trace: np.ndarray = field(repr=False)
-    inclusion_value: float
 
     def evaluate(self, points) -> np.ndarray:
         """Values in the region between the curves (normalized)."""
@@ -340,6 +338,11 @@ def solve_limit(ops: SceneOperators, f: np.ndarray, kind: str,
     net flux (absorbed by a source term at the inclusion center).
     ``kind = 'conductor'``: constant trace and flux-free inclusion; the
     mean-free part of ``f`` is used.  ``background``: ``f``'s, if solved.
+
+    Both solve ``S psi = v + c`` (``v`` the driving field's inclusion
+    trace) for a mean-free ``psi = unhat(p z)`` and a constant ``c``, the
+    grounded ``alpha``: ``B z = p^T hat(v)`` by the cached pencil's
+    ``B^{-1} = Y Y^T`` and one refinement step against ``p^T S p``.
     """
     if kind not in ("grounded", "conductor"):
         raise ValueError(f"unknown limit kind {kind!r}")
@@ -353,35 +356,24 @@ def solve_limit(ops: SceneOperators, f: np.ndarray, kind: str,
         background = solve_background(ops, f)
     beta = total / scene.k0 if kind == "grounded" else 0.0
 
-    rhs_vals = background.values
+    v = background.values
     if beta != 0.0:
-        rhs_vals = rhs_vals + beta * ops.green.kernel(
-            curve.nodes, [curve.center])[:, 0]
+        v = v + beta * ops.green.kernel(curve.nodes, [curve.center])[:, 0]
 
-    n = curve.n
-    trace_op = -ops.s_plain  # operational single-layer trace on the inclusion
-    sign = +1.0 if kind == "grounded" else -1.0
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = trace_op
-    bordered[:n, n] = sign
-    bordered[n, :n] = curve.weights
-    rhs = np.zeros(n + 1)
-    rhs[:n] = -rhs_vals
-    sol = scipy.linalg.solve(bordered, rhs)
-    psi, extra = sol[:n], float(sol[n])
-    # grounded: extra is the additive constant alpha, inclusion trace 0
-    # conductor: extra is the inclusion trace constant, alpha = 0
-    alpha = extra if kind == "grounded" else 0.0
-    inclusion_const = 0.0 if kind == "grounded" else extra
+    p = ops.mean_free
+    _, y, _ = ops.pencil
+    rhs = p.T @ ops.hat(v)
+    z = y @ (y.T @ rhs)
+    z = z + y @ (y.T @ (rhs - p.T @ (ops.s_hat @ (p @ z))))
+    psi = ops.unhat(p @ z)
+    alpha = curve.mean(ops.s_plain @ psi - v) if kind == "grounded" else 0.0
 
     raw_trace = background.trace + ops.outer_trace(psi) \
         + (beta * ops.green.outer_trace_kernel([curve.center])[:, 0]
            if beta != 0.0 else 0.0) + alpha
     mean = float(outer.mean(raw_trace))
-    return LimitSolution(ops=ops, kind=kind, background=background, beta=beta,
-                         psi=psi, alpha=alpha, outer_mean=mean,
-                         trace=raw_trace - mean,
-                         inclusion_value=inclusion_const - mean)
+    return LimitSolution(ops=ops, background=background, beta=beta, psi=psi,
+                         alpha=alpha, outer_mean=mean, trace=raw_trace - mean)
 
 
 # ---------------------------------------------------------------------------

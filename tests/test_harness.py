@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from npeit import cli, experiments
@@ -202,6 +202,7 @@ class TestConfig:
     )
     @settings(max_examples=40, deadline=None)
     def test_round_trip_property(self, cx, r, k0, amp, m, n, base, count):
+        assume(m < n // 2)  # the grid resolves the harmonic
         config = parse_config(textwrap.dedent(f"""
             [scene]
             outer = circle 0 0 1
@@ -540,6 +541,22 @@ dir = {tmp_path / "nested" / "results"}
         assert cli.main(["sweep", "--config", str(cfg),
                          "--out", str(tmp_path)]) == 2
         assert cause in capsys.readouterr().err
+
+    @pytest.mark.parametrize("term", ["sin:32:1", "cos:40:1"])
+    def test_unresolved_harmonic_exit_two(self, tmp_path, capsys, term):
+        # at n = 64, sin:32 samples to zeros and cos:40 aliases to cos:24
+        cfg = write_cfg(tmp_path, MINI_SCENE + f"[physics]\nf = {term}\n")
+        assert cli.main(["sweep", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{term}.0'" in err and "n = 64" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_highest_resolved_harmonic_accepted(self, tmp_path):
+        cfg = write_cfg(tmp_path, MINI_SCENE + "[physics]\nf = cos:31:1\n")
+        assert cli.main(["sweep", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 0
+        assert len(read_rows(tmp_path / "sweep.csv")[1]) == 4
 
     def test_missing_config_exit_two(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "no.cfg"),
