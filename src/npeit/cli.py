@@ -3,7 +3,8 @@
 ``np-eit <subcommand> --config <file> [--out <dir>]`` runs one experiment
 and writes its CSV into the output directory (``--out`` overrides the
 config's ``[output] dir``).  Exit codes: 0 success, 2 configuration or
-assertion failure, 3 solver failure.
+assertion failure, 3 solver failure.  The solver stack is imported only
+once the config is valid and the output directory exists.
 """
 
 from __future__ import annotations
@@ -17,20 +18,19 @@ from .config import load_config
 from .exceptions import (ConditioningError, ConfigError, CurveError,
                          EvaluationDomainError, IndeterminatePointError,
                          SeparationError, SolverError)
-from .experiments import (run_expansion, run_oracle_check, run_spectrum,
-                          run_stability, run_sweep)
 
+#: subcommand -> (name of its driver in npeit.experiments, help text)
 _COMMANDS = {
-    "spectrum": (run_spectrum, "report the leading boundary-operator "
-                               "eigenpairs"),
-    "sweep": (run_sweep, "sweep the conductivity ladder against the "
-                         "high-contrast limits"),
-    "stability": (run_stability, "rank inclusion pairs by their ladder "
-                                 "trace gap"),
-    "expand": (run_expansion, "spectral expansion of one transmission "
-                              "solve, both coefficient routes"),
-    "oracle-check": (run_oracle_check, "self-check the concentric-disk "
-                                       "closed forms"),
+    "spectrum": ("run_spectrum", "report the leading boundary-operator "
+                                 "eigenpairs"),
+    "sweep": ("run_sweep", "sweep the conductivity ladder against the "
+                           "high-contrast limits"),
+    "stability": ("run_stability", "rank inclusion pairs by their ladder "
+                                   "trace gap"),
+    "expand": ("run_expansion", "spectral expansion of one transmission "
+                                "solve, both coefficient routes"),
+    "oracle-check": ("run_oracle_check", "self-check the concentric-disk "
+                                         "closed forms"),
 }
 
 
@@ -63,7 +63,8 @@ def main(argv=None) -> int:
                               "[output] dir in the config")
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command][0](config, out_dir)
+        from . import experiments
+        getattr(experiments, _COMMANDS[args.command][0])(config, out_dir)
     except (ConfigError, CurveError, SeparationError,
             IndeterminatePointError, EvaluationDomainError,
             AssertionError, OSError) as exc:

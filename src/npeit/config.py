@@ -262,6 +262,15 @@ def parse_config(text: str) -> ExperimentConfig:
         out_dir=(parser.get("output", "dir").strip()
                  if parser.has_option("output", "dir") else None),
     )
+    try:
+        ks = config.k_ladder()
+    except OverflowError:
+        ks = [np.inf]
+    if not all(0.0 < k < np.inf for k in ks):
+        raise ConfigError(
+            f"[sweep] base = {config.ladder_base!r}, ratio = "
+            f"{config.ladder_ratio!r}, count = {config.ladder_count}: the "
+            "ladder points base * ratio**i must be finite and positive")
     return config
 
 

@@ -273,11 +273,7 @@ def make_star(center, r0: float, terms, n: int) -> BoundaryCurve:
     """
     norm_terms = []
     for term in terms:
-        if len(term) == 2:
-            m, a = term
-            b = 0.0
-        else:
-            m, a, b = term
+        m, a, b = term if len(term) == 3 else (*term, 0.0)
         if int(m) < 1:
             raise CurveError(f"star harmonic index must be >= 1, got {m}")
         norm_terms.append((int(m), float(a), float(b)))

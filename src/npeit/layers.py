@@ -60,11 +60,9 @@ def _mean_free_basis(w0: np.ndarray) -> np.ndarray:
     of the Householder reflection exchanging ``w0`` with a coordinate
     axis; deterministic and exactly orthonormal.
     """
-    n = w0.shape[0]
     v = w0.copy()
     v[0] += np.sign(w0[0]) if w0[0] != 0 else 1.0
-    h = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
-    return h[:, 1:]
+    return (np.eye(len(v)) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
 
 
 @dataclass
@@ -206,8 +204,7 @@ def build_scene_operators(scene: InclusionScene, green=None) -> SceneOperators:
         log.warning("kernel correction asymmetry %.3e; symmetrizing", defect)
     corr = 0.5 * (corr + corr.T)
 
-    s_op_plain = free_single_layer_self(curve) + corr * w[None, :]
-    s_plain = -s_op_plain
+    s_plain = -(free_single_layer_self(curve) + corr * w[None, :])
 
     dcorr = green.correction_gradient_x(curve.nodes, curve.nodes)
     dnu_corr = np.einsum("ijd,id->ij", dcorr, curve.normals)
@@ -217,8 +214,7 @@ def build_scene_operators(scene: InclusionScene, green=None) -> SceneOperators:
     s_hat = 0.5 * (s_hat + s_hat.T)  # symmetric up to roundoff by construction
     kstar_hat = sqrt_w[:, None] * kstar_plain / sqrt_w[None, :]
 
-    w0 = sqrt_w / np.linalg.norm(sqrt_w)
-    basis = _mean_free_basis(w0)
+    basis = _mean_free_basis(sqrt_w / np.linalg.norm(sqrt_w))
 
     return SceneOperators(
         scene=scene, green=green, s_plain=s_plain, kstar_plain=kstar_plain,

@@ -600,14 +600,12 @@ def expansion_coefficients(ops: SceneOperators, spectrum: NPSpectrum,
     interior_gram = 0.5 * (interior_gram + interior_gram.T)
 
     # limit flux moment against the mode potential traces
-    flux_plus = limit.background.flux \
-        + ops.side_flux(limit.psi, +1)
+    flux_plus = limit.background.flux + ops.side_flux(limit.psi, +1)
     w_d = ops.curve.weights
     traces = -(ops.s_plain @ densities)  # mode potential traces on the inclusion
     b = traces.T @ (w_d * flux_plus)
 
-    n = len(modes)
-    system = (k - k0) * interior_gram + k0 * np.eye(n)
+    system = (k - k0) * interior_gram + k0 * np.eye(len(modes))
     a_system = scipy.linalg.solve(system, k0 * b)
 
     phi_hat = ops.hat(sol.phi)

@@ -64,6 +64,24 @@ offsets = 0.02 0.05 0.1
 """
 
 
+REPO = Path(__file__).resolve().parents[1]
+#: modules of the solver stack, which config parsing must not load
+SOLVER_MODULES = tuple(f"npeit.{name}" for name in (
+    "experiments", "green", "layers", "spectrum", "transmission",
+    "quadrature", "disk_oracle"))
+
+
+def heavy_modules_after(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter on this checkout's sources and
+    list the scipy and solver modules loaded at its end."""
+    probe = (f"import sys\nsys.path.insert(0, {str(REPO / 'src')!r})\n"
+             + code + "\nprint(*sorted(m for m in sys.modules if m == 'scipy'"
+             f" or m.startswith('scipy.') or m in {SOLVER_MODULES!r}))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.split()
+
+
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(text), encoding="utf-8")
@@ -189,6 +207,21 @@ class TestConfig:
     def test_ladder_values(self):
         config = parse_config("[sweep]\nbase = 3\nratio = 2\ncount = 4\n")
         assert config.k_ladder() == [3.0, 6.0, 12.0, 24.0]
+
+    @pytest.mark.parametrize("sweep", [
+        "base = 1\nratio = 1e200\ncount = 3",  # ratio**2 raises OverflowError
+        "base = 10\nratio = 1e154\ncount = 3",  # base * ratio**2 is inf
+        "base = 1\nratio = 1e-200\ncount = 3",  # ratio**2 rounds to 0
+    ], ids=["pow-overflow", "product-overflow", "underflow"])
+    def test_ladder_outside_the_positive_floats_rejected(self, sweep):
+        with pytest.raises(ConfigError, match=r"^\[sweep\] base = .*count"):
+            parse_config(f"[sweep]\n{sweep}\n")
+
+    def test_ladder_at_the_float_edges_accepted(self):
+        config = parse_config("[sweep]\nbase = 1\nratio = 1e154\ncount = 3\n")
+        assert config.k_ladder() == [1.0, 1e154, 1e154**2]
+        config = parse_config("[sweep]\nbase = 1\nratio = 1e-160\ncount = 3\n")
+        assert config.k_ladder()[-1] == 1e-160**2 > 0.0
 
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -566,7 +599,7 @@ dir = {tmp_path / "nested" / "results"}
         def raiser(config, out_dir):
             raise AssertionError("association violated")
 
-        monkeypatch.setitem(cli._COMMANDS, "stability", (raiser, ""))
+        monkeypatch.setattr(experiments, "run_stability", raiser)
         cfg = write_cfg(tmp_path, TANGENT_LADDER)
         assert cli.main(["stability", "--config", str(cfg),
                          "--out", str(tmp_path)]) == 2
@@ -575,11 +608,36 @@ dir = {tmp_path / "nested" / "results"}
         def raiser(config, out_dir):
             raise SolverError("no convergence")
 
-        monkeypatch.setitem(cli._COMMANDS, "sweep", (raiser, ""))
+        monkeypatch.setattr(experiments, "run_sweep", raiser)
         cfg = write_cfg(tmp_path, MINI_SCENE)
         assert cli.main(["sweep", "--config", str(cfg),
                          "--out", str(tmp_path)]) == 3
         assert "solver failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "stability"])
+    @pytest.mark.parametrize("ratio", ["1e200", "1e-200"],
+                             ids=["overflow", "underflow"])
+    def test_ladder_leaving_the_floats_exit_two(self, tmp_path, capsys,
+                                                command, ratio):
+        # 1e200**2 overflows the float pow; 1e-200**2 rounds to k = 0
+        cfg = write_cfg(tmp_path, TANGENT_LADDER.replace(
+            "count = 3", f"base = 1\nratio = {ratio}\ncount = 3"))
+        assert cli.main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "[sweep]" in err and f"ratio = {float(ratio)!r}" in err
+        assert "base = 1.0" in err and "count = 3" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_error_exits_before_scipy_loads(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[scene]\nbogus = 1\n")
+        loaded = heavy_modules_after(
+            "from npeit.cli import main\n"
+            f"code = main(['sweep', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}])\n"
+            "assert code == 2, code\n")
+        assert loaded == []
+        assert not (tmp_path / "out").exists()
 
     def test_every_subcommand_runs_clean(self, tmp_path):
         cfg = write_cfg(tmp_path, MINI_SCENE + TANGENT_LADDER.split("[scene]")[0]
@@ -653,9 +711,12 @@ class TestRankCorrelation:
             scipy.stats.spearmanr(x, y).statistic, abs=1e-14)
 
     def test_cli_import_leaves_scipy_stats_out(self):
-        src = str(Path(experiments.__file__).resolve().parents[1])
-        code = ("import sys; sys.path.insert(0, %r); import npeit.cli; "
-                "print('scipy.stats' in sys.modules)" % src)
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "False"
+        # the parse-and-validate path of the CLI loads no solver module
+        configs = sorted(map(str, (REPO / "configs").glob("*.cfg")))
+        assert len(configs) == 3
+        loaded = heavy_modules_after(
+            "import npeit.cli\n"
+            "from npeit.config import load_config\n"
+            f"for path in {configs!r}:\n"
+            "    load_config(path)\n")
+        assert loaded == []
