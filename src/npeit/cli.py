@@ -3,7 +3,7 @@
 ``np-eit <subcommand> --config <file> [--out <dir>]`` runs one experiment
 and writes its CSV into the output directory (``--out`` overrides the
 config's ``[output] dir``).  Exit codes: 0 success, 2 configuration or
-assertion failure, 3 solver failure.  The solver stack is imported only
+assertion failure, 3 solver failure.  A driver's module is imported only
 once the config is valid and the output directory exists.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from importlib import import_module
 from pathlib import Path
 
 from .config import load_config
@@ -19,18 +20,18 @@ from .exceptions import (ConditioningError, ConfigError, CurveError,
                          EvaluationDomainError, IndeterminatePointError,
                          SeparationError, SolverError)
 
-#: subcommand -> (name of its driver in npeit.experiments, help text)
+#: subcommand -> (module of its driver under npeit, driver, help text)
 _COMMANDS = {
-    "spectrum": ("run_spectrum", "report the leading boundary-operator "
-                                 "eigenpairs"),
-    "sweep": ("run_sweep", "sweep the conductivity ladder against the "
-                           "high-contrast limits"),
-    "stability": ("run_stability", "rank inclusion pairs by their ladder "
-                                   "trace gap"),
-    "expand": ("run_expansion", "spectral expansion of one transmission "
-                                "solve, both coefficient routes"),
-    "oracle-check": ("run_oracle_check", "self-check the concentric-disk "
-                                         "closed forms"),
+    "spectrum": ("experiments", "run_spectrum",
+                 "report the leading boundary-operator eigenpairs"),
+    "sweep": ("experiments", "run_sweep", "sweep the conductivity ladder "
+                                          "against the high-contrast limits"),
+    "stability": ("experiments", "run_stability",
+                  "rank inclusion pairs by their ladder trace gap"),
+    "expand": ("experiments", "run_expansion", "spectral expansion of one "
+               "transmission solve, both coefficient routes"),
+    "oracle-check": ("disk_oracle", "run_oracle_check",
+                     "self-check the concentric-disk closed forms"),
 }
 
 
@@ -40,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Boundary-integral experiments for a two-dimensional "
                     "conductivity problem with one inclusion.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, _, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True,
                          help="experiment config file")
@@ -63,8 +64,8 @@ def main(argv=None) -> int:
                               "[output] dir in the config")
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        from . import experiments
-        getattr(experiments, _COMMANDS[args.command][0])(config, out_dir)
+        module, driver, _ = _COMMANDS[args.command]
+        getattr(import_module(f"npeit.{module}"), driver)(config, out_dir)
     except (ConfigError, CurveError, SeparationError,
             IndeterminatePointError, EvaluationDomainError,
             AssertionError, OSError) as exc:

@@ -13,18 +13,26 @@ with the coefficients fixed by continuity of the potential and of the
 conormal flux at ``rho = r0`` and by the outer Neumann condition.  The
 module also carries the mode action of the single-layer potential in the
 zero-outer-flux normalization and the spectrum of the flux-average
-operator on a concentric circle.
+operator on a concentric circle, and ``np-eit oracle-check``, which loads
+no solver module and checks these closed forms against each other.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from .config import ExperimentConfig
+
 __all__ = [
+    "ORACLE_HEADER",
     "OracleMode",
+    "format_number",
+    "run_oracle_check",
     "oracle_transmission_mode",
     "oracle_limit_trace_coefficient",
     "oracle_flux_average_eigenvalue",
@@ -229,3 +237,86 @@ def mode_gradient_energy(m: int, coeff_pos: float, coeff_neg: float,
             raise ValueError("rho^-m term requires rho_in > 0")
         neg = coeff_neg**2 * (rho_in ** (-2 * m) - rho_out ** (-2 * m))
     return math.pi * m * (pos + neg)
+
+
+# ---------------------------------------------------------------------------
+# the oracle self-check driver and the CSV writing all drivers share
+# ---------------------------------------------------------------------------
+
+ORACLE_HEADER = "check,value,bound,status"
+
+
+def format_number(x) -> str:
+    """Full round-trip decimal rendering (17 significant digits)."""
+    return "%.17g" % float(x)
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    lines = [header] + [row if isinstance(row, str) else ",".join(row)
+                        for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_ORACLE_GRID = {
+    "m": (1, 2, 3, 5, 8),
+    "k": (0.2, 3.0, 10.0, 100.0),
+    "r0": (0.3, 0.5, 0.7),
+    "k0": (1.0, 2.0),
+}
+
+_ORACLE_BOUNDS = {
+    "matching_residual": 1e-13,
+    "flux_jump_identity": 1e-12,
+    "trace_closed_form": 1e-12,
+    "energy_identity": 1e-11,
+    "infinite_contrast_limit": 1e-10,
+}
+
+
+def run_oracle_check(config: ExperimentConfig, out_dir) -> list[tuple]:
+    """Validate the concentric-disk closed forms against themselves over
+    a parameter grid; writes ``oracle.csv`` and raises AssertionError if
+    any check exceeds its bound.
+
+    Checks: the matching residual of each mode solve; the layer-density
+    jump identity (annulus-side flux minus inside flux equals the
+    density); the closed-form outer trace coefficient; the energy
+    identity ``k E_in + k0 E_ann = oint f u``; and agreement of the
+    ``k -> infinity`` trace with the infinite-contrast coefficient.
+    The scene in the config is not used: the grid is fixed.
+    """
+    worst = dict.fromkeys(_ORACLE_BOUNDS, 0.0)
+
+    def note(check: str, value: float) -> None:
+        worst[check] = max(worst[check], value)
+
+    for m, r0, k0 in itertools.product(
+            *map(_ORACLE_GRID.get, ("m", "r0", "k0"))):
+        for k in _ORACLE_GRID["k"]:
+            mode = oracle_transmission_mode(m, k, k0, r0)
+            note("matching_residual", mode.residual)
+            note("flux_jump_identity", abs(mode.exterior_flux_coeff
+                                           - mode.interior_flux_coeff
+                                           - mode.density_coeff))
+            tau = r0 ** (2 * m) * (k - k0) / (k + k0)
+            closed = (1.0 - tau) / (k0 * m * (1.0 + tau))
+            note("trace_closed_form", abs(mode.trace_coeff - closed))
+            note("energy_identity", abs(
+                k * mode.gradient_energy_inside()
+                + k0 * mode.gradient_energy_annulus()
+                - math.pi * mode.f_c * mode.trace_coeff))
+        note("infinite_contrast_limit", abs(
+            oracle_transmission_mode(m, 1e12, k0, r0).trace_coeff
+            - oracle_limit_trace_coefficient(m, k0, r0)))
+
+    rows = [(name, format_number(worst[name]), format_number(bound),
+             "PASS" if worst[name] <= bound else "FAIL")
+            for name, bound in _ORACLE_BOUNDS.items()]
+    _write_csv(Path(out_dir) / "oracle.csv", ORACLE_HEADER, rows)
+    failures = [f"{name}={worst[name]:.3g} > {bound:g}"
+                for name, bound in _ORACLE_BOUNDS.items()
+                if not worst[name] <= bound]
+    if failures:
+        raise AssertionError("oracle self-check failed: "
+                             + "; ".join(failures))
+    return rows

@@ -60,12 +60,16 @@ class NPSpectrum:
 
     Modes are grouped by family (``+`` then ``-`` then ``0``) and sorted
     by decreasing ``|lambda|`` within each family; ``index`` counts within
-    the family starting from 1.
+    the family starting from 1.  The modes' energy Gram matrix is formed
+    once on ``ops`` and kept read-only; ``ops`` itself is not kept.
     """
 
     def __init__(self, modes: list[SpectralMode], ops: SceneOperators):
         self.modes = modes
-        self.ops = ops
+        g_hat = ops.sqrt_w[:, None] * np.column_stack(
+            [m.density for m in modes])
+        self._gram = g_hat.T @ (ops.s_hat @ g_hat)
+        self._gram.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -86,14 +90,11 @@ class NPSpectrum:
 
     def gram(self) -> np.ndarray:
         """Energy Gram matrix of the mode densities (identity if the
-        solve is exact)."""
-        g = np.column_stack([m.density for m in self.modes])
-        g_hat = self.ops.sqrt_w[:, None] * g
-        return g_hat.T @ (self.ops.s_hat @ g_hat)
+        solve is exact), read-only."""
+        return self._gram
 
     def orthogonality_defect(self) -> float:
-        gram = self.gram()
-        return float(np.max(np.abs(gram - np.eye(len(self.modes)))))
+        return float(np.max(np.abs(self._gram - np.eye(len(self.modes)))))
 
     def max_residual(self) -> float:
         return max((m.residual for m in self.modes), default=0.0)
@@ -121,8 +122,8 @@ def solve_spectrum(ops: SceneOperators, n_modes: int | None = None) -> NPSpectru
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if n_modes > cap:
-        log.warning("n_modes=%d exceeds the resolution cap %d; clipping",
-                    n_modes, cap)
+        log.warning("%d modes per family requested: that exceeds the "
+                    "resolution cap %d at n=%d; clipping", n_modes, cap, n)
         n_modes = cap
 
     p = ops.mean_free

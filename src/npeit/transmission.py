@@ -583,8 +583,6 @@ def expansion_coefficients(ops: SceneOperators, spectrum: NPSpectrum,
     scene = ops.scene
     k0 = scene.k0
     modes = list(spectrum.modes)
-    if not modes:
-        raise ValueError("spectrum carries no modes")
     # both fields must be driven by the same effective (mean-free) data,
     # otherwise their difference is not a pure inclusion layer
     f = np.asarray(f, dtype=float)
@@ -594,9 +592,8 @@ def expansion_coefficients(ops: SceneOperators, spectrum: NPSpectrum,
 
     densities = np.column_stack([m.density for m in modes])
     dens_hat = ops.sqrt_w[:, None] * densities
-    e_gram = dens_hat.T @ (ops.s_hat @ dens_hat)
     d_gram = -2.0 * dens_hat.T @ (ops.kstar_hat.T @ (ops.s_hat @ dens_hat))
-    interior_gram = 0.5 * (e_gram + d_gram)
+    interior_gram = 0.5 * (spectrum.gram() + d_gram)
     interior_gram = 0.5 * (interior_gram + interior_gram.T)
 
     # limit flux moment against the mode potential traces

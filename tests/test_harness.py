@@ -11,11 +11,14 @@ Pinned behavior:
   * exit codes: 0 ok, 2 config/assertion, 3 solver
 """
 
+import gc
 import math
 import subprocess
 import sys
 import textwrap
 import threading
+import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +278,26 @@ class TestSweep:
         assert result.slope is None
         assert len(result.ks) == 1
 
+    @pytest.mark.parametrize("base", ["1", "2"])
+    def test_constant_tail_has_no_slope(self, tmp_path, base):
+        # ratio 1 repeats one conductivity, and no line fits a single log k:
+        # at base = k0 least squares fails to converge, at base = 2 it warns
+        cfg = write_cfg(tmp_path, MINI_SCENE.replace(
+            "count = 4", f"base = {base}\nratio = 1\ncount = 3"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sweep(load_config(cfg), tmp_path)
+            assert cli.main(["sweep", "--config", str(cfg),
+                             "--out", str(tmp_path / "cli")]) == 0
+        assert result.slope is None
+        assert result.ks == (float(base),) * 3
+        assert len(set(result.dist_dirichlet)) == 1
+        assert ((tmp_path / "cli" / "sweep.csv").read_bytes()
+                == (tmp_path / "sweep.csv").read_bytes())
+        header, rows = read_rows(tmp_path / "sweep.csv")
+        assert header == SWEEP_HEADER
+        assert len(rows) == 3 and rows[0] == rows[1] == rows[2]
+
     def test_net_flux_data_separates_the_two_limits(self, tmp_path):
         config = parse_config("""
 [scene]
@@ -385,6 +408,104 @@ class TestSpectrumExpansion:
             # solving n_modes, as the expansion used to, clips and warns
             solve_spectrum(experiments.build_operators(config), 20)
         assert "exceeds the resolution cap 16" in caplog.messages[0]
+
+    @pytest.mark.parametrize("driver, key", [(run_spectrum, "n_modes"),
+                                             (run_expansion, "j")])
+    def test_cap_warning_names_the_requested_count(self, tmp_path, caplog,
+                                                   driver, key):
+        # spectrum clips [spectrum] n_modes, expand clips [spectrum] j: the
+        # warning states the count, not a key the user may not have set
+        config = parse_config(MINI_SCENE + f"\n[spectrum]\n{key} = 100\n")
+        with caplog.at_level("WARNING", logger="npeit.spectrum"):
+            driver(config, tmp_path)
+        assert caplog.messages == ["100 modes per family requested: that "
+                                   "exceeds the resolution cap 16 at n=64; "
+                                   "clipping"]
+
+
+# ---------------------------------------------------------------------------
+# what the driver results keep alive
+# ---------------------------------------------------------------------------
+
+ELLIPSE_STAR = """
+[scene]
+outer = ellipse 0 0 1.2 0.9
+inclusion = star 0.1 0 0.35 3:0.03
+n = 64
+
+[spectrum]
+n_modes = 6
+"""
+
+
+def fresh_gram(modes, ops):
+    """The energy Gram matrix of ``modes`` evaluated afresh on ``ops``."""
+    g = np.column_stack([m.density for m in modes])
+    g_hat = ops.sqrt_w[:, None] * g
+    return g_hat.T @ (ops.s_hat @ g_hat)
+
+
+@pytest.fixture
+def built_ops(monkeypatch):
+    """Weak references to every operator set the drivers build."""
+    refs = []
+    real = experiments.build_operators
+
+    def recording(*args, **kwargs):
+        ops = real(*args, **kwargs)
+        refs.append(weakref.ref(ops))
+        return ops
+
+    monkeypatch.setattr(experiments, "build_operators", recording)
+    return refs
+
+
+def live(refs) -> int:
+    gc.collect()
+    return sum(ref() is not None for ref in refs)
+
+
+class TestResultRetention:
+    @pytest.mark.parametrize("driver, text", [
+        (run_spectrum, MINI_SCENE + "\n[spectrum]\nn_modes = 9\n"),
+        (run_spectrum, ELLIPSE_STAR),
+        (run_sweep, MINI_SCENE),
+        (run_stability, TANGENT_LADDER)],
+        ids=["spectrum", "spectrum-ellipse-star", "sweep", "stability"])
+    def test_held_result_pins_no_operator_set(self, tmp_path, built_ops,
+                                              driver, text):
+        result = driver(parse_config(text), tmp_path)  # held, as a caller would
+        assert built_ops and live(built_ops) == 0
+        del result
+
+    def test_expansion_result_keeps_its_operator_set(self, tmp_path,
+                                                     built_ops):
+        # ExpansionResult carries the transmission solution, and with it
+        # the operator set the solution's methods evaluate on
+        result = run_expansion(parse_config(ELLIPSE_STAR), tmp_path)
+        assert live(built_ops) == 1
+        assert result.solution.ops is built_ops[0]()
+
+    @pytest.mark.parametrize("path", [*sorted(
+        (REPO / "configs").glob("*.cfg")), None],
+        ids=lambda p: p.name if p else "ellipse-star")
+    def test_stored_gram_is_the_per_call_gram(self, tmp_path, monkeypatch,
+                                             path):
+        config = load_config(path) if path else parse_config(ELLIPSE_STAR)
+        kept = []
+        real = experiments.build_operators
+        monkeypatch.setattr(experiments, "build_operators",
+                            lambda *a: kept.append(real(*a)) or kept[-1])
+        selected = run_spectrum(config, tmp_path)
+        (ops,) = kept
+        for spectrum in (selected, solve_spectrum(ops, config.n_modes)):
+            expect = fresh_gram(spectrum.modes, ops)
+            assert np.array_equal(spectrum.gram(), expect)
+            assert not spectrum.gram().flags.writeable
+            assert spectrum.orthogonality_defect() == float(
+                np.max(np.abs(expect - np.eye(len(spectrum.modes)))))
+        assert type(ops.green).__name__ == (
+            "NumericGreen" if path is None else "DiskGreen")
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +759,16 @@ dir = {tmp_path / "nested" / "results"}
             "assert code == 2, code\n")
         assert loaded == []
         assert not (tmp_path / "out").exists()
+
+    def test_oracle_check_loads_no_solver_module(self, tmp_path):
+        cfg = write_cfg(tmp_path, MINI_SCENE)
+        loaded = heavy_modules_after(
+            "from npeit.cli import main\n"
+            f"code = main(['oracle-check', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}])\n"
+            "assert code == 0, code\n")
+        assert loaded == ["npeit.disk_oracle"]
+        assert (tmp_path / "out" / "oracle.csv").exists()
 
     def test_every_subcommand_runs_clean(self, tmp_path):
         cfg = write_cfg(tmp_path, MINI_SCENE + TANGENT_LADDER.split("[scene]")[0]
