@@ -22,7 +22,7 @@ solves sit diagnostics used by the experiments: weighted trace
 distances, gradient energies via boundary identities, an a priori
 gradient bound with a computable trace constant, the ladder of
 conductivity derivatives, and the expansion of the solution in the
-spectral densities of the flux-average operator.
+spectral densities of the flux-average operator (one scalar per mode).
 """
 
 from __future__ import annotations
@@ -543,10 +543,10 @@ def derivative_norm_ratios(ops: SceneOperators, phis: list[np.ndarray],
 class ExpansionResult:
     """Spectral coefficients of ``u(k) - u_limit`` over mode potentials.
 
-    ``a_system`` solves the Galerkin system of the weak form restricted
-    to the mode potentials; ``a_projection`` evaluates the closed-form
-    coefficient (energy projection of the transmission density plus the
-    limit flux moment).  The two routes agree up to truncation.
+    ``b_moment`` is the limit-flux moment ``b_j``; ``a_system`` is the
+    diagonal formula ``a_j = k0 b_j / ((k - k0)(1/2 - mu_j) + k0)``;
+    ``a_projection`` is the energy projection of the transmission density
+    plus ``b_j``.  The two routes agree up to truncation.
     """
 
     modes: list
@@ -569,13 +569,15 @@ def expansion_coefficients(ops: SceneOperators, spectrum: NPSpectrum,
                            f: np.ndarray, k: float) -> ExpansionResult:
     """Expand ``u(k) - u_limit`` in the spectral mode potentials.
 
-    The difference is a pure layer potential, so with ``S``-orthonormal
-    modes ``w_j`` the weak form against each ``w_j`` closes into
+    The difference is a pure layer potential.  The modes ``w_j`` are
+    ``S``-orthonormal eigendensities of ``K*``, so the interior Gram of
+    their potentials is ``diag(1/2 - mu_j)`` and the weak form decouples:
 
-        ``(k - k0) sum_i a_i (grad w_i, grad w_j)_D + k0 a_j = k0 b_j``,
+        ``a_j = k0 b_j / ((k - k0)(1/2 - mu_j) + k0)``,
 
-    where the interior Gram is ``(e + d)/2`` from the energy and
-    difference forms and ``b_j`` is the limit-flux moment
+    i.e. ``b_j (lambda - 1/2)/(lambda - mu_j)``, and exactly ``b_j`` at
+    ``k = k0``; the denominator ``k (1/2 - mu_j) + k0 (1/2 + mu_j)`` is
+    positive as ``|mu_j| < 1/2``.  ``b_j`` is the limit-flux moment
     ``oint (d/dnu u_limit|+) w_j`` over the inclusion.  The projection
     route evaluates ``a_j = (phi | S g_j) + b_j`` directly from the
     transmission density ``phi``.
@@ -591,10 +593,6 @@ def expansion_coefficients(ops: SceneOperators, spectrum: NPSpectrum,
     limit = solve_limit(ops, h, "grounded", sol.background)
 
     densities = np.column_stack([m.density for m in modes])
-    dens_hat = ops.sqrt_w[:, None] * densities
-    d_gram = -2.0 * dens_hat.T @ (ops.kstar_hat.T @ (ops.s_hat @ dens_hat))
-    interior_gram = 0.5 * (spectrum.gram() + d_gram)
-    interior_gram = 0.5 * (interior_gram + interior_gram.T)
 
     # limit flux moment against the mode potential traces
     flux_plus = limit.background.flux + ops.side_flux(limit.psi, +1)
@@ -602,9 +600,9 @@ def expansion_coefficients(ops: SceneOperators, spectrum: NPSpectrum,
     traces = -(ops.s_plain @ densities)  # mode potential traces on the inclusion
     b = traces.T @ (w_d * flux_plus)
 
-    system = (k - k0) * interior_gram + k0 * np.eye(len(modes))
-    a_system = scipy.linalg.solve(system, k0 * b)
+    a_system = k0 * b / ((k - k0) * (0.5 - spectrum.mus) + k0)
 
+    dens_hat = ops.sqrt_w[:, None] * densities
     phi_hat = ops.hat(sol.phi)
     a_projection = dens_hat.T @ (ops.s_hat @ phi_hat) + b
 

@@ -15,18 +15,24 @@ conductivity 1) with data ``cos t`` pins frozen values:
 * trace constant ``C0 = sqrt(5/3) = 1.2909944...``.
 """
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from npeit.config import load_config
 from npeit.disk_oracle import (
     oracle_limit_trace_coefficient,
     oracle_transmission_mode,
 )
 from npeit.exceptions import SolverError
+from npeit.experiments import build_operators
 from npeit.geometry import InclusionScene, make_circle, make_ellipse, make_star
 from npeit.green import NumericGreen
 from npeit.layers import build_scene_operators
-from npeit.spectrum import solve_spectrum
+from npeit.spectrum import NPSpectrum, solve_spectrum
 from npeit.transmission import (
     contrast_parameter,
     derivative_ladder,
@@ -40,6 +46,8 @@ from npeit.transmission import (
     trace_constant,
     trace_distance,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +370,100 @@ class TestExpansion:
         base = expansion_coefficients(ops, spec, cos_data(ops), 3.0)
         assert np.max(np.abs(res.a_system - base.a_system)) <= 1e-13
         assert res.max_route_gap() <= 1e-10
+
+
+def config_expansion_scene(name):
+    """Operator set, spectrum and data of ``np-eit expand`` on a shipped
+    config."""
+    config = load_config(CONFIGS / name)
+    ops = build_operators(config)
+    return (ops, solve_spectrum(ops, config.j_trunc),
+            config.data_vector(ops.scene.outer.t), config.ladder_base)
+
+
+def galerkin_coefficients(ops, spectrum, b, k):
+    """The weak form restricted to the mode potentials, solved densely:
+    ``((k - k0) (E + D)/2 + k0 I) a = k0 b`` with the energy Gram ``E``
+    and the difference form ``D`` of the mode densities."""
+    k0 = ops.scene.k0
+    dens_hat = ops.sqrt_w[:, None] * np.column_stack(
+        [m.density for m in spectrum.modes])
+    d = -2.0 * dens_hat.T @ (ops.kstar_hat.T @ (ops.s_hat @ dens_hat))
+    g = 0.5 * (spectrum.gram() + d)
+    g = 0.5 * (g + g.T)
+    return np.linalg.solve((k - k0) * g + k0 * np.eye(len(b)), k0 * b)
+
+
+class TestDiagonalExpansion:
+    """The modes are ``S``-orthonormal eigendensities, so the Galerkin
+    system of the expansion is diagonal and its solution is the closed
+    form ``a_j = k0 b_j / ((k - k0)(1/2 - mu_j) + k0)``."""
+
+    KS = (0.01, 1.0, 3.0, 1e4)  # k = k0 = 1 included
+
+    @pytest.fixture(scope="class", params=["concentric.cfg", "stability.cfg",
+                                           "adjudication.cfg", "ellipse"])
+    def scene(self, request):
+        if request.param != "ellipse":
+            return config_expansion_scene(request.param)
+        outer = make_ellipse((0, 0), 1.2, 0.9, 128)
+        inclusion = make_star((0.25, -0.1), 0.4, [(3, 0.05), (5, 0.02)], 128)
+        ops = build_scene_operators(InclusionScene(outer, inclusion, 1.0))
+        assert isinstance(ops.green, NumericGreen)
+        return ops, solve_spectrum(ops, 12), np.cos(outer.t - 0.3), 3.0
+
+    @pytest.mark.parametrize("k", KS)
+    def test_matches_galerkin_solve(self, scene, k):
+        ops, spec, f, _ = scene
+        res = expansion_coefficients(ops, spec, f, k)
+        ref = galerkin_coefficients(ops, spec, res.b_moment, k)
+        scale = np.max(np.abs(ref))
+        assert scale > 0.0
+        assert np.max(np.abs(res.a_system - ref)) <= 1e-14 * scale
+
+    def test_no_contrast_returns_the_moment(self, scene):
+        ops, spec, f, _ = scene
+        res = expansion_coefficients(ops, spec, f, ops.scene.k0)
+        assert np.array_equal(res.a_system, res.b_moment)
+
+    def test_makes_no_linear_solve(self, scene, monkeypatch):
+        ops, spec, f, k = scene
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("linear solve in the expansion")
+
+        monkeypatch.setattr(scipy.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        res = expansion_coefficients(ops, spec, f, k)
+        assert np.all(np.isfinite(res.a_system))
+
+    @pytest.mark.parametrize("name", ["concentric.cfg", "adjudication.cfg"])
+    def test_depends_only_on_the_eigenspace(self, name):
+        # rotate every resolved cos/sin pair by a random angle: the
+        # per-pair coefficient norms of both routes must not move
+        ops, spec, f, k = config_expansion_scene(name)
+        rng = np.random.default_rng(7)
+        modes = list(spec.modes)
+        pairs = [(i, i + 1) for i in range(len(modes) - 1)
+                 if modes[i].family == modes[i + 1].family
+                 and abs(modes[i].mu) > 1e-14
+                 and abs(modes[i].mu - modes[i + 1].mu) <= 1e-15]
+        assert len(pairs) >= 4
+        assert len({i for pair in pairs for i in pair}) == 2 * len(pairs)
+        for i, j in pairs:
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            c, s = np.cos(angle), np.sin(angle)
+            gi, gj = modes[i].density, modes[j].density
+            modes[i] = dataclasses.replace(modes[i], density=c * gi + s * gj)
+            modes[j] = dataclasses.replace(modes[j], density=c * gj - s * gi)
+        base = expansion_coefficients(ops, spec, f, k)
+        turned = expansion_coefficients(ops, NPSpectrum(modes, ops), f, k)
+        for field in ("a_system", "a_projection"):
+            a, r = getattr(base, field), getattr(turned, field)
+            tol = 1e-14 * np.max(np.abs(a))
+            for i, j in pairs:
+                assert abs(np.hypot(a[i], a[j]) - np.hypot(r[i], r[j])) <= tol
+            assert np.max(np.abs(r - a)) > 1e3 * tol  # the pairs did turn
 
 
 class TestNeumannToDirichletInvariants:
