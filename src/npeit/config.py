@@ -29,26 +29,27 @@ small grammar for curves and boundary data::
     [output]
     dir = out
 
-Boundary data terms are ``const:v``, ``cos:m:v``, ``sin:m:v`` in the
-curve parameter of the outer boundary, with ``m < n/2`` so that the ``n``
-nodes resolve each harmonic.  The stability section accepts
-either explicit ``pairs`` (one per line, two curve specs joined by
-``;``) or a tangent-disk ladder via ``center``, ``radius`` and
-``offsets`` (each offset ``t`` pairs the base disk with the internally
-tangent disk of radius ``radius - t`` shifted by ``t`` along x).
-Unknown sections or keys are rejected; parsing then rendering with
-:func:`config_text` is lossless.
+Curve specs are validated and canonicalized by :mod:`npeit.curvespec`,
+and parsing loads neither numpy nor :mod:`npeit.geometry`.  Boundary data
+terms are ``const:v``, ``cos:m:v``, ``sin:m:v`` in the curve parameter of
+the outer boundary, with ``m < n/2`` so that the ``n`` nodes resolve each
+harmonic.  The stability section accepts either explicit ``pairs`` (one
+per line, two curve specs joined by ``;``) or a tangent-disk ladder via
+``center``, ``radius`` and ``offsets`` (each offset ``t`` pairs the base
+disk with the internally tangent disk of radius ``radius - t`` shifted by
+``t`` along x).  An empty ``[output] dir`` is rejected.  Unknown sections
+or keys are rejected; parsing then rendering with :func:`config_text` is
+lossless.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import curvespec
 from .exceptions import ConfigError, CurveError
-from .geometry import curve_spec_string, parse_curve_spec
 
 _ALLOWED_KEYS = {
     "scene": {"outer", "inclusion", "n"},
@@ -73,7 +74,10 @@ class FourierTerm:
             return f"const:{self.amplitude!r}"
         return f"{self.kind}:{self.m}:{self.amplitude!r}"
 
-    def evaluate(self, t: np.ndarray) -> np.ndarray:
+    def evaluate(self, t):
+        """The term at the parameter values ``t`` (a numpy array)."""
+        import numpy as np
+
         if self.kind == "const":
             return np.full_like(t, self.amplitude)
         if self.kind == "cos":
@@ -102,7 +106,11 @@ class ExperimentConfig:
         return [self.ladder_base * self.ladder_ratio**i
                 for i in range(self.ladder_count)]
 
-    def data_vector(self, t: np.ndarray) -> np.ndarray:
+    def data_vector(self, t):
+        """Boundary data ``f`` at the parameter values ``t`` (a numpy
+        array)."""
+        import numpy as np
+
         out = np.zeros_like(t)
         for term in self.f_terms:
             out = out + term.evaluate(t)
@@ -111,7 +119,7 @@ class ExperimentConfig:
 
 def _finite(text: str) -> float:
     value = float(text)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
     return value
 
@@ -145,7 +153,7 @@ def parse_f_terms(text: str) -> tuple[FourierTerm, ...]:
 
 def _canonical_curve(text: str, n: int) -> str:
     try:
-        return curve_spec_string(parse_curve_spec(text.strip(), n))
+        return curvespec.curve_spec_string(curvespec.parse(text.strip(), n))
     except CurveError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -240,6 +248,10 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"[physics] data term {term.render()!r} has harmonic order "
                 f"{term.m} >= n/2; n = {n} nodes cannot resolve it")
 
+    out_dir = _get(parser, "output", "dir", defaults.out_dir, str)
+    if out_dir == "":
+        raise ConfigError("[output] dir is empty: name a directory, or drop "
+                          "the key and pass --out")
     config = ExperimentConfig(
         outer=_canonical_curve(
             _get(parser, "scene", "outer", defaults.outer, str), n),
@@ -259,14 +271,13 @@ def parse_config(text: str) -> ExperimentConfig:
         j_trunc=_get(parser, "spectrum", "j", defaults.j_trunc,
                      int, positive=True),
         stability_pairs=_stability_pairs(parser, n),
-        out_dir=(parser.get("output", "dir").strip()
-                 if parser.has_option("output", "dir") else None),
+        out_dir=out_dir,
     )
     try:
         ks = config.k_ladder()
     except OverflowError:
-        ks = [np.inf]
-    if not all(0.0 < k < np.inf for k in ks):
+        ks = [math.inf]
+    if not all(0.0 < k < math.inf for k in ks):
         raise ConfigError(
             f"[sweep] base = {config.ladder_base!r}, ratio = "
             f"{config.ladder_ratio!r}, count = {config.ladder_count}: the "

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import curvespec
+from .curvespec import curve_spec_string
 from .exceptions import CurveError, IndeterminatePointError, SeparationError
 
 __all__ = [
@@ -42,12 +44,10 @@ __all__ = [
     "rotated",
     "parse_curve_spec",
     "curve_spec_string",
-    "winding_number",
     "distance_to_boundary",
     "region_distance",
     "hausdorff_distance",
     "modified_distance",
-    "conductivity_at",
 ]
 
 # Inside tests refuse to classify points within this many arc-spacings of
@@ -102,13 +102,6 @@ class BoundaryCurve:
         """Total arc length by the trapezoidal rule (spectrally accurate)."""
         return float(np.sum(self.weights))
 
-    def signed_area(self) -> float:
-        """Enclosed area via the shoelace integral ``0.5 * oint q x q'``."""
-        q = self.nodes - self.center
-        qp = self._derivative()
-        cross = q[:, 0] * qp[:, 1] - q[:, 1] * qp[:, 0]
-        return float(0.5 * np.sum(cross) * (2.0 * np.pi / self.n))
-
     def max_spacing(self) -> float:
         """Largest arc length attached to a single node."""
         return float(np.max(self.weights))
@@ -123,9 +116,6 @@ class BoundaryCurve:
         """Evaluate ``q(t)`` for arbitrary parameter values."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return _eval_point(self.kind, self.center, self.params, t)
-
-    def _derivative(self):
-        return _eval_derivative(self.kind, self.center, self.params, self.t)
 
     # -- point classification -------------------------------------------------
 
@@ -209,16 +199,12 @@ def _eval_derivative(kind, center, params, t):
     raise CurveError(f"unknown curve kind {kind!r}")
 
 
-def _build_curve(kind, center, params, n) -> BoundaryCurve:
-    if n < 8 or n % 2 != 0:
-        raise CurveError(f"node count must be even and >= 8, got {n}")
-    center = np.asarray(center, dtype=float)
+def _build_curve(spec: curvespec.CurveSpec) -> BoundaryCurve:
+    """Node arrays of a validated curve."""
+    kind, params, n = spec.kind, spec.params, spec.n
+    center = np.array(spec.center)
     t = 2.0 * np.pi * np.arange(n) / n
-
     q = _eval_point(kind, center, params, t)
-    if not np.all(np.isfinite(q)):
-        raise CurveError(f"{kind} with center {center.tolist()} and "
-                         f"parameters {params} has non-finite nodes")
     qp = _eval_derivative(kind, center, params, t)
 
     if kind == "circle":
@@ -232,11 +218,6 @@ def _build_curve(kind, center, params, n) -> BoundaryCurve:
     else:  # star
         r0, terms = params
         rho, d1, d2 = _radius_series(t, r0, terms)
-        if np.min(rho) <= 0.0:
-            raise CurveError(
-                "star radius becomes non-positive; curve is not simple "
-                f"(min radius {np.min(rho):.3e})"
-            )
         speed = np.hypot(rho, d1)
         kappa = (rho**2 + 2.0 * d1**2 - rho * d2) / speed**3
 
@@ -250,16 +231,12 @@ def _build_curve(kind, center, params, n) -> BoundaryCurve:
 
 def make_circle(center, radius: float, n: int) -> BoundaryCurve:
     """Circle of given center and radius with ``n`` nodes."""
-    if radius <= 0:
-        raise CurveError(f"circle radius must be positive, got {radius}")
-    return _build_curve("circle", center, (float(radius),), n)
+    return _build_curve(curvespec.circle(center, radius, n))
 
 
 def make_ellipse(center, a: float, b: float, n: int) -> BoundaryCurve:
     """Axis-aligned ellipse with semi-axes ``a`` (x) and ``b`` (y)."""
-    if a <= 0 or b <= 0:
-        raise CurveError(f"ellipse semi-axes must be positive, got {a}, {b}")
-    return _build_curve("ellipse", center, (float(a), float(b)), n)
+    return _build_curve(curvespec.ellipse(center, a, b, n))
 
 
 def make_star(center, r0: float, terms, n: int) -> BoundaryCurve:
@@ -269,20 +246,10 @@ def make_star(center, r0: float, terms, n: int) -> BoundaryCurve:
     ----------
     terms : iterable of (m, a_m) or (m, a_m, b_m)
         Harmonic perturbations of the base radius.  The curve is rejected
-        if the radius is not strictly positive everywhere.
+        if the radius is not strictly positive at the nodes and between
+        them (see :mod:`npeit.curvespec`).
     """
-    norm_terms = []
-    for term in terms:
-        m, a, b = term if len(term) == 3 else (*term, 0.0)
-        if int(m) < 1:
-            raise CurveError(f"star harmonic index must be >= 1, got {m}")
-        norm_terms.append((int(m), float(a), float(b)))
-    curve = _build_curve("star", center, (float(r0), tuple(norm_terms)), n)
-    # dense positivity check beyond the build nodes
-    tt = 2.0 * np.pi * np.arange(4096) / 4096
-    if np.min(_radius(tt, r0, norm_terms)) <= 0:
-        raise CurveError("star radius becomes non-positive between nodes")
-    return curve
+    return _build_curve(curvespec.star(center, r0, terms, n))
 
 
 def rotated(curve: BoundaryCurve, angle: float, pivot=None) -> BoundaryCurve:
@@ -296,77 +263,24 @@ def rotated(curve: BoundaryCurve, angle: float, pivot=None) -> BoundaryCurve:
     rot = np.array([[ca, -sa], [sa, ca]])
     new_center = pivot + rot @ (curve.center - pivot)
     if curve.kind == "circle":
-        return _build_curve("circle", new_center, curve.params, curve.n)
+        return make_circle(new_center, *curve.params, curve.n)
     if curve.kind == "star":
         r0, terms = curve.params
         new_terms = []
         for m, a, b in terms:
             cm, sm = math.cos(m * angle), math.sin(m * angle)
             new_terms.append((m, a * cm - b * sm, a * sm + b * cm))
-        return _build_curve("star", new_center, (r0, tuple(new_terms)), curve.n)
+        return make_star(new_center, r0, new_terms, curve.n)
     if curve.kind == "ellipse":
         if abs(math.remainder(angle, math.pi)) > 1e-14:
             raise CurveError("ellipse rotation only supported by multiples of pi")
-        return _build_curve("ellipse", new_center, curve.params, curve.n)
+        return make_ellipse(new_center, *curve.params, curve.n)
     raise CurveError(f"unknown curve kind {curve.kind!r}")
 
-
-# ---------------------------------------------------------------------------
-# curve grammar (used by experiment configs)
-# ---------------------------------------------------------------------------
 
 def parse_curve_spec(text: str, n: int) -> BoundaryCurve:
-    """Build a curve from its grammar string.
-
-    Grammar::
-
-        circle  cx cy r
-        ellipse cx cy a b
-        star    cx cy r0 [m:amp]*
-    """
-    fields = text.split()
-    if not fields:
-        raise CurveError("empty curve spec")
-    kind, args = fields[0], fields[1:]
-    try:
-        if kind == "circle":
-            cx, cy, r = map(float, args)
-            return make_circle((cx, cy), r, n)
-        if kind == "ellipse":
-            cx, cy, a, b = map(float, args)
-            return make_ellipse((cx, cy), a, b, n)
-        if kind == "star":
-            cx, cy, r0 = map(float, args[:3])
-            terms = []
-            for tok in args[3:]:
-                m_str, amp_str = tok.split(":")
-                terms.append((int(m_str), float(amp_str)))
-            return make_star((cx, cy), r0, terms, n)
-    except CurveError:
-        raise
-    except Exception as exc:
-        raise CurveError(f"malformed curve spec {text!r}: {exc}") from exc
-    raise CurveError(f"unknown curve kind in spec {text!r}")
-
-
-def curve_spec_string(curve: BoundaryCurve) -> str:
-    """Inverse of :func:`parse_curve_spec` (grammar-representable curves only)."""
-    cx, cy = curve.center
-    if curve.kind == "circle":
-        (r,) = curve.params
-        return f"circle {cx:.17g} {cy:.17g} {r:.17g}"
-    if curve.kind == "ellipse":
-        a, b = curve.params
-        return f"ellipse {cx:.17g} {cy:.17g} {a:.17g} {b:.17g}"
-    if curve.kind == "star":
-        r0, terms = curve.params
-        toks = []
-        for m, a, b in terms:
-            if b != 0.0:
-                raise CurveError("star with sine terms is not grammar-representable")
-            toks.append(f"{m}:{a:.17g}")
-        return " ".join([f"star {cx:.17g} {cy:.17g} {r0:.17g}"] + toks)
-    raise CurveError(f"unknown curve kind {curve.kind!r}")
+    """Build a curve from its grammar string (see :mod:`npeit.curvespec`)."""
+    return _build_curve(curvespec.parse(text, n))
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +299,6 @@ def _contains_analytic(curve: BoundaryCurve, x):
     r0, terms = curve.params
     theta = np.arctan2(dx[..., 1], dx[..., 0])
     return np.hypot(dx[..., 0], dx[..., 1]) < _radius(theta, r0, terms)
-
-
-def winding_number(curve: BoundaryCurve, x) -> int:
-    """Discrete winding number of the node polygon around ``x``.
-
-    Used by validation tests as an independent check of the analytic
-    inside tests; 1 for interior points, 0 for exterior points.
-    """
-    v = curve.nodes - np.asarray(x, dtype=float)
-    ang = np.arctan2(v[:, 1], v[:, 0])
-    dang = np.diff(np.concatenate([ang, ang[:1]]))
-    dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
-    return int(round(np.sum(dang) / (2.0 * np.pi)))
 
 
 def distance_to_boundary(curve: BoundaryCurve, x):
@@ -568,10 +469,3 @@ class InclusionScene:
         """Minimal node-to-node distance between the two boundaries."""
         d = self.outer.nodes[:, None, :] - self.inclusion.nodes[None, :, :]
         return float(np.min(np.hypot(d[..., 0], d[..., 1])))
-
-
-def conductivity_at(scene: InclusionScene, k: float, x) -> float:
-    """Piecewise-constant coefficient: ``k`` inside the inclusion, ``k0``
-    outside (no smoothing).  Near-boundary points raise
-    :class:`IndeterminatePointError` rather than guessing the side."""
-    return k if scene.inclusion.contains(x) else scene.k0

@@ -14,11 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npeit.disk_oracle import (
+    oracle_limit_trace_coefficient,
+    oracle_transmission_mode,
+)
+
+from disk_modes import (
     mode_gradient_energy,
     oracle_flux_average_eigenvalue,
-    oracle_limit_trace_coefficient,
     oracle_mode_trace,
-    oracle_transmission_mode,
     single_layer_mode_field,
 )
 

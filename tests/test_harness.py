@@ -85,6 +85,17 @@ def heavy_modules_after(code: str) -> list[str]:
     return proc.stdout.split()
 
 
+def numpy_or_geometry_after(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter on this checkout's sources and
+    list the numpy and ``npeit.geometry`` modules loaded at its end."""
+    probe = (f"import sys\nsys.path.insert(0, {str(REPO / 'src')!r})\n"
+             + code + "\nprint(*sorted(m for m in sys.modules if m == 'numpy'"
+             " or m.startswith('numpy.') or m == 'npeit.geometry'))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.split()
+
+
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(text), encoding="utf-8")
@@ -155,6 +166,11 @@ class TestConfig:
     def test_malformed_curve_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[scene]\nouter = circle 0 0\n")
+
+    @pytest.mark.parametrize("line", ["dir =", "dir =   "])
+    def test_empty_output_dir_rejected(self, line):
+        with pytest.raises(ConfigError, match=r"^\[output\] dir is empty"):
+            parse_config(f"[output]\n{line}\n")
 
     @pytest.mark.parametrize("term", ["cos:0:1", "tri:1:1", "cos:a:1",
                                       "cos:1", "const", "sin:2:x"])
@@ -671,6 +687,31 @@ dir = {tmp_path / "nested" / "results"}
         cfg = write_cfg(tmp_path, MINI_SCENE)
         assert cli.main(["sweep", "--config", str(cfg)]) == 2
 
+    def test_empty_out_dir_exit_two_writes_nothing(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # an empty [output] dir used to mean the current directory
+        cfg = write_cfg(tmp_path, MINI_SCENE + "[output]\ndir =\n")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert cli.main(["oracle-check", "--config", str(cfg)]) == 2
+        assert "[output] dir" in capsys.readouterr().err
+        assert list(cwd.iterdir()) == []
+
+    def test_overflowing_curve_is_one_error_line(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[scene]\nouter = circle 1e308 0 1e308\n")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys\nsys.path.insert(0, {str(REPO / 'src')!r})\n"
+             "from npeit.cli import main\nsys.exit(main(sys.argv[1:]))",
+             "sweep", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: circle with center [1e+308, 0.0] and parameters "
+            "(1e+308,) has non-finite nodes"]
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_exit_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[scene]\nbogus = 1\n")
         assert cli.main(["sweep", "--config", str(cfg),
@@ -846,6 +887,18 @@ class TestRankCorrelation:
         configs = sorted(map(str, (REPO / "configs").glob("*.cfg")))
         assert len(configs) == 3
         loaded = heavy_modules_after(
+            "import npeit.cli\n"
+            "from npeit.config import load_config\n"
+            f"for path in {configs!r}:\n"
+            "    load_config(path)\n")
+        assert loaded == []
+
+    def test_parse_path_loads_no_numpy(self, tmp_path):
+        configs = sorted(map(str, (REPO / "configs").glob("*.cfg")))
+        configs.append(str(write_cfg(tmp_path, STAR_SCENE + (
+            "[stability]\npairs =\n"
+            "    star 0 0 0.4 3:0.02 ; star 0.01 0 0.38 3:0.02 5:-0.01\n"))))
+        loaded = numpy_or_geometry_after(
             "import npeit.cli\n"
             "from npeit.config import load_config\n"
             f"for path in {configs!r}:\n"

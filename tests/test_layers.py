@@ -15,16 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npeit.disk_oracle import (
+from npeit.exceptions import EvaluationDomainError
+from npeit.geometry import InclusionScene, make_circle, make_ellipse, make_star
+from npeit.green import DiskGreen, NumericGreen
+from npeit.layers import build_scene_operators
+
+from disk_modes import (
     mode_gradient_energy,
     oracle_flux_average_eigenvalue,
     oracle_mode_trace,
     single_layer_mode_field,
 )
-from npeit.exceptions import EvaluationDomainError
-from npeit.geometry import InclusionScene, make_circle, make_ellipse, make_star
-from npeit.green import DiskGreen, NumericGreen
-from npeit.layers import build_scene_operators
 
 
 def concentric(n=128, r0=0.5, k0=1.0):

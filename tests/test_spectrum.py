@@ -8,10 +8,11 @@ normalization; general scenes are checked through invariants.
 import numpy as np
 import pytest
 
-from npeit.disk_oracle import oracle_flux_average_eigenvalue
 from npeit.geometry import InclusionScene, make_circle, make_star
 from npeit.layers import build_scene_operators
 from npeit.spectrum import solve_spectrum
+
+from disk_modes import oracle_flux_average_eigenvalue
 
 
 @pytest.fixture(scope="module")
