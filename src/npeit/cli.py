@@ -57,6 +57,8 @@ def main(argv=None) -> int:
                             format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        if args.out == "":
+            raise ConfigError("--out is empty: name a directory")
         config = load_config(args.config)
         out = args.out if args.out is not None else config.out_dir
         if out is None:

@@ -134,14 +134,17 @@ class SceneOperators:
 
     # -- energy forms ---------------------------------------------------------
 
+    def energy(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """``(g | S h)`` of nodal values (vectors or columns of each)."""
+        return self.hat(g).T @ (self.s_hat @ self.hat(h))
+
     def energy_norm2(self, g: np.ndarray) -> float:
         """``(g | S g)`` = full-domain gradient energy of the potential."""
-        return float(self.hat(g) @ (self.s_hat @ self.hat(g)))
+        return float(self.energy(g, g))
 
     def energy_difference(self, g: np.ndarray) -> float:
         """Interior-minus-exterior gradient energy, ``-2 (g | K S g)``."""
-        g_hat = self.hat(g)
-        return float(-2.0 * g_hat @ (self.kstar_hat.T @ (self.s_hat @ g_hat)))
+        return float(-2.0 * self.energy(self.flux_average(g), g))
 
     def energy_quotient(self, g: np.ndarray) -> float:
         """Rayleigh quotient of the difference form against the energy."""
@@ -169,16 +172,17 @@ class SceneOperators:
         return self.green.outer_trace_kernel(self.curve.nodes) * self.curve.weights
 
     @cached_property
-    def pencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(mu, Y, Y^T B)`` of ``A y = mu B y``, ``A = p^T S K* p``
-        (symmetrized), ``B = p^T S p``; on mean-free densities
-        ``(lam - K*)^{-1} = Y diag(1/(lam - mu)) Y^T B`` and
-        ``B^{-1} = Y Y^T``."""
+    def pencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(mu, G)``: eigenvalues and nodal eigendensities of ``K*`` on
+        mean-free densities, from ``A y = mu B y``, ``A = p^T S K* p``
+        (symmetrized), ``B = p^T S p``; ``G = unhat(p Y)`` is ``S``-
+        orthonormal and weighted-mean-free: ``r = G energy(G, r)``."""
         p = self.mean_free
         a = p.T @ (self.s_hat @ self.kstar_hat) @ p
-        b = p.T @ self.s_hat @ p
-        mu, y = scipy.linalg.eigh(0.5 * (a + a.T), b)
-        return mu, y, y.T @ b
+        mu, y = scipy.linalg.eigh(0.5 * (a + a.T), p.T @ self.s_hat @ p)
+        g = p @ y
+        g /= self.sqrt_w[:, None]  # unhat in place
+        return mu, g
 
     @cached_property
     def background_maps(self) -> tuple[np.ndarray, np.ndarray]:

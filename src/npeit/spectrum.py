@@ -6,13 +6,12 @@ with respect to the positive-definite energy form ``S``, so the problem
 
     ``K* g = mu g``
 
-becomes the symmetric-definite pencil ``(S K*) y = mu S y`` on the
-mean-free subspace.  Eigendensities are returned ``S``-orthonormal (their
-potentials have unit gradient energy), and each carries the spectral
-value in two forms: the operator eigenvalue ``mu`` and the energy ratio
-``lambda = -2 mu``, which equals the Rayleigh quotient of the
-interior-minus-exterior energy difference and is the quantity whose sign
-splits the spectrum into families.
+is the symmetric-definite pencil that ``SceneOperators.pencil`` solves.
+Eigendensities are ``S``-orthonormal (their potentials have unit gradient
+energy), and each carries the spectral value in two forms: the operator
+eigenvalue ``mu`` and the energy ratio ``lambda = -2 mu``, which equals
+the Rayleigh quotient of the interior-minus-exterior energy difference
+and is the quantity whose sign splits the spectrum into families.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ class SpectralMode:
     """One eigenpair of the flux-average operator.
 
     ``density`` holds nodal values, normalized to unit energy
-    (``(g | S g) = 1``) with a deterministic sign (the first component
-    above noise level is positive).  ``residual`` is the energy-norm
-    defect ``|K* g - mu g|_S``.
+    (``(g | S g) = 1``) with a deterministic sign: the first nodal value
+    above 1e-8 of the largest in magnitude is positive.  ``residual`` is
+    the energy-norm defect ``|K* g - mu g|_S``.
     """
 
     index: int
@@ -66,9 +65,8 @@ class NPSpectrum:
 
     def __init__(self, modes: list[SpectralMode], ops: SceneOperators):
         self.modes = modes
-        g_hat = ops.sqrt_w[:, None] * np.column_stack(
-            [m.density for m in modes])
-        self._gram = g_hat.T @ (ops.s_hat @ g_hat)
+        densities = np.column_stack([m.density for m in modes])
+        self._gram = ops.energy(densities, densities)
         self._gram.flags.writeable = False
 
     def __len__(self) -> int:
@@ -126,8 +124,7 @@ def solve_spectrum(ops: SceneOperators, n_modes: int | None = None) -> NPSpectru
                     "resolution cap %d at n=%d; clipping", n_modes, cap, n)
         n_modes = cap
 
-    p = ops.mean_free
-    mu_vals, y, _ = ops.pencil  # columns are B-orthonormal
+    mu_vals, g_all = ops.pencil  # S-orthonormal eigendensities
 
     modes: list[SpectralMode] = []
     order = {"+": [], "-": [], "0": []}
@@ -138,14 +135,12 @@ def solve_spectrum(ops: SceneOperators, n_modes: int | None = None) -> NPSpectru
     for fam in ("+", "-", "0"):
         idx = sorted(order[fam], key=lambda i: -abs(lam_vals[i]))[:n_modes]
         for rank, i in enumerate(idx, start=1):
-            g_hat = _fix_sign(p @ y[:, i])
-            g = ops.unhat(g_hat)
-            resid_vec = ops.kstar_hat @ g_hat - mu_vals[i] * g_hat
-            residual = float(np.sqrt(max(resid_vec @ (ops.s_hat @ resid_vec), 0.0)))
+            g = _fix_sign(g_all[:, i].copy())
+            resid = ops.energy_norm2(ops.flux_average(g) - mu_vals[i] * g)
             modes.append(SpectralMode(
                 index=rank, family=fam, mu=float(mu_vals[i]),
-                lam=float(lam_vals[i]), density=g, residual=residual,
-            ))
+                lam=float(lam_vals[i]), density=g,
+                residual=float(np.sqrt(max(resid, 0.0)))))
     return NPSpectrum(modes, ops)
 
 

@@ -11,10 +11,10 @@ the inclusion boundary:
 
 with ``u0`` the inclusion-free background.  Because ``|lambda| > 1/2``
 for every positive contrast while ``K*`` has spectral radius below 1/2
-on mean-free densities, the solve is uniformly well posed; it is carried
-out on the mean-free subspace in symmetrized variables.
+on mean-free densities, the solve is uniformly well posed; it is the
+expansion in the cached eigendensities of ``K*``.
 
-Two infinite-contrast limits are solved on the cached pencil: the
+Two infinite-contrast limits are solved on the same eigendensities: the
 grounded limit (zero trace on the inclusion, arbitrary total input flux)
 and the conductor limit (constant trace, flux-free inclusion, mean-free
 data); for mean-free data they differ by a constant.  On top of the
@@ -211,8 +211,8 @@ class TransmissionSolution:
         # int_annulus |grad v|^2 = -oint v (dv/dnu)|+ : the outer term
         # vanishes (equal Neumann data) and additive constants drop against
         # the flux difference, whose net integral is zero
-        flux_lim = limit.background.flux + self.ops.side_flux(limit.psi, +1)
-        e_ann = -(w_d @ (tr_u * (self.side_flux(+1) - self._columns(flux_lim))))
+        e_ann = -(w_d @ (tr_u * (self.side_flux(+1)
+                                 - self._columns(limit.exterior_flux()))))
 
         h = self.background.f
         return GradientBound(
@@ -262,24 +262,23 @@ def solve_transmission(ops: SceneOperators, f: np.ndarray,
 
 def _solve_second_kind(ops: SceneOperators, lam,
                        rhs_plain: np.ndarray) -> np.ndarray:
-    """Solve ``(lam I - K*) phi = rhs`` on the mean-free subspace with the
-    resolvent of the cached pencil.  ``rhs`` is a vector or columns, and
-    ``lam`` one value or one per column (then a vector ``rhs`` is shared).
-
-    That resolvent assumes ``K*`` keeps the mean-free subspace invariant,
-    true to quadrature accuracy; one refinement step against ``p^T K* p``,
-    applied through ``p``, removes the defect."""
-    p = ops.mean_free
-    mu, y, left = ops.pencil
+    """Solve ``(lam I - K*) phi = rhs`` on mean-free densities as the
+    expansion ``phi = sum_j g_j (g_j | S r) / (lam - mu_j)``, ``r`` the
+    mean-free part of ``rhs`` (a vector or columns; ``lam`` one value or
+    one per column, then a vector ``rhs`` is shared).  It assumes that
+    ``K*`` keeps mean-free densities mean-free, true to quadrature
+    accuracy; one refinement step on the residual removes the defect."""
+    mu, g = ops.pencil
     lams = np.reshape(lam, -1)
     if np.any(mu[:, None] == lams):  # pragma: no cover
         raise SolverError(f"second-kind solve failed at lambda={lam}")
     scale = 1.0 / (lams - mu[:, None])
-    rhs = (p.T @ ops.hat(rhs_plain)).reshape(len(mu), -1)
-    sol = y @ (scale * (left @ rhs))
-    resid = rhs - (lams * sol - p.T @ (ops.kstar_hat @ (p @ sol)))
-    sol = sol + y @ (scale * (left @ resid))
-    return ops.unhat(p @ sol).reshape(
+    mean = ops.curve.mean
+    rhs = np.reshape(rhs_plain, (len(g), -1))
+    phi = g @ (scale * ops.energy(g, rhs - mean(rhs)))
+    resid = rhs - (lams * phi - ops.flux_average(phi))
+    phi = phi + g @ (scale * ops.energy(g, resid - mean(resid)))
+    return phi.reshape(
         np.shape(rhs_plain) if np.ndim(lam) == 0 else (-1, lams.size))
 
 
@@ -317,6 +316,10 @@ class LimitSolution:
             vals += self.beta * self.ops.green.kernel(pts, [center])[:, 0]
         return vals + self.alpha - self.outer_mean
 
+    def exterior_flux(self) -> np.ndarray:
+        """Exterior flux on the inclusion, ``beta`` source term excluded."""
+        return self.background.flux + self.ops.side_flux(self.psi, +1)
+
     def annulus_gradient_energy(self) -> float:
         """``int |grad u|^2`` between the curves, via boundary identities.
 
@@ -340,9 +343,10 @@ def solve_limit(ops: SceneOperators, f: np.ndarray, kind: str,
     mean-free part of ``f`` is used.  ``background``: ``f``'s, if solved.
 
     Both solve ``S psi = v + c`` (``v`` the driving field's inclusion
-    trace) for a mean-free ``psi = unhat(p z)`` and a constant ``c``, the
-    grounded ``alpha``: ``B z = p^T hat(v)`` by the cached pencil's
-    ``B^{-1} = Y Y^T`` and one refinement step against ``p^T S p``.
+    trace) for a mean-free ``psi`` and a constant ``c``, the grounded
+    ``alpha``: the eigendensities ``G`` are ``S``-orthonormal and span the
+    mean-free densities, so ``psi = G G^T (w v)`` with ``w`` the
+    quadrature weights, plus one refinement step against ``S``.
     """
     if kind not in ("grounded", "conductor"):
         raise ValueError(f"unknown limit kind {kind!r}")
@@ -360,12 +364,9 @@ def solve_limit(ops: SceneOperators, f: np.ndarray, kind: str,
     if beta != 0.0:
         v = v + beta * ops.green.kernel(curve.nodes, [curve.center])[:, 0]
 
-    p = ops.mean_free
-    _, y, _ = ops.pencil
-    rhs = p.T @ ops.hat(v)
-    z = y @ (y.T @ rhs)
-    z = z + y @ (y.T @ (rhs - p.T @ (ops.s_hat @ (p @ z))))
-    psi = ops.unhat(p @ z)
+    _, g = ops.pencil
+    psi = g @ (g.T @ (curve.weights * v))
+    psi = psi + g @ (g.T @ (curve.weights * (v - ops.s_plain @ psi)))
     alpha = curve.mean(ops.s_plain @ psi - v) if kind == "grounded" else 0.0
 
     raw_trace = background.trace + ops.outer_trace(psi) \
@@ -595,16 +596,12 @@ def expansion_coefficients(ops: SceneOperators, spectrum: NPSpectrum,
     densities = np.column_stack([m.density for m in modes])
 
     # limit flux moment against the mode potential traces
-    flux_plus = limit.background.flux + ops.side_flux(limit.psi, +1)
-    w_d = ops.curve.weights
-    traces = -(ops.s_plain @ densities)  # mode potential traces on the inclusion
-    b = traces.T @ (w_d * flux_plus)
+    traces = ops.potential_trace(densities)
+    b = traces.T @ (ops.curve.weights * limit.exterior_flux())
 
     a_system = k0 * b / ((k - k0) * (0.5 - spectrum.mus) + k0)
 
-    dens_hat = ops.sqrt_w[:, None] * densities
-    phi_hat = ops.hat(sol.phi)
-    a_projection = dens_hat.T @ (ops.s_hat @ phi_hat) + b
+    a_projection = ops.energy(densities, sol.phi) + b
 
     return ExpansionResult(modes=modes, a_system=a_system,
                            a_projection=a_projection, b_moment=b,

@@ -698,6 +698,18 @@ dir = {tmp_path / "nested" / "results"}
         assert "[output] dir" in capsys.readouterr().err
         assert list(cwd.iterdir()) == []
 
+    def test_empty_out_option_exit_two_writes_nothing(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # an empty --out used to mean the current directory
+        cfg = write_cfg(tmp_path, MINI_SCENE)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert cli.main(["oracle-check", "--config", str(cfg),
+                         "--out", ""]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert list(cwd.iterdir()) == []
+
     def test_overflowing_curve_is_one_error_line(self, tmp_path):
         cfg = write_cfg(tmp_path, "[scene]\nouter = circle 1e308 0 1e308\n")
         proc = subprocess.run(
