@@ -20,9 +20,11 @@ objects matter downstream:
 Matrices are kept in two representations: "plain" (acting on nodal
 values, quadrature weights folded in) and "hat" (conjugated by the square
 root of the weights), in which ``S`` is exactly symmetric and adjoints
-are exact transposes.  The mean-free constraint is handled by an
-orthonormal basis of the hat subspace orthogonal to the weight vector.
-What does not depend on the conductivity is built once, on first use.
+are exact transposes.  The mean-free constraint needs no basis: the one
+eigenvalue of ``K*`` outside ``(-1/2, 1/2)`` is ``1/2``, at the equilibrium
+density (constant potential on the inclusion), and every other
+eigendensity is ``S``-orthogonal to it, so weighted-mean-free.  What does
+not depend on the conductivity is built once, on first use.
 """
 
 from __future__ import annotations
@@ -53,18 +55,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-def _mean_free_basis(w0: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to ``w0``.
-
-    Columns of the returned ``(n, n-1)`` matrix are the trailing columns
-    of the Householder reflection exchanging ``w0`` with a coordinate
-    axis; deterministic and exactly orthonormal.
-    """
-    v = w0.copy()
-    v[0] += np.sign(w0[0]) if w0[0] != 0 else 1.0
-    return (np.eye(len(v)) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
-
-
 @dataclass
 class SceneOperators:
     """Assembled boundary operators for one scene.
@@ -82,8 +72,6 @@ class SceneOperators:
     s_hat, kstar_hat : ndarray
         Hat-space versions; ``s_hat`` is exactly symmetric and
         ``kstar_hat.T`` is the hat-space ``K``.
-    mean_free : ndarray, shape (n, n-1)
-        Orthonormal basis of the mean-free hat subspace.
     correction_defect : float
         Asymmetry of the kernel correction block before symmetrization
         (zero for the closed-form disk kernel).
@@ -96,7 +84,6 @@ class SceneOperators:
     s_hat: np.ndarray = field(repr=False)
     kstar_hat: np.ndarray = field(repr=False)
     sqrt_w: np.ndarray = field(repr=False)
-    mean_free: np.ndarray = field(repr=False)
     correction_defect: float = 0.0
 
     # -- representations ------------------------------------------------------
@@ -174,15 +161,24 @@ class SceneOperators:
     @cached_property
     def pencil(self) -> tuple[np.ndarray, np.ndarray]:
         """``(mu, G)``: eigenvalues and nodal eigendensities of ``K*`` on
-        mean-free densities, from ``A y = mu B y``, ``A = p^T S K* p``
-        (symmetrized), ``B = p^T S p``; ``G = unhat(p Y)`` is ``S``-
-        orthonormal and weighted-mean-free: ``r = G energy(G, r)``."""
-        p = self.mean_free
-        a = p.T @ (self.s_hat @ self.kstar_hat) @ p
-        mu, y = scipy.linalg.eigh(0.5 * (a + a.T), p.T @ self.s_hat @ p)
-        g = p @ y
-        g /= self.sqrt_w[:, None]  # unhat in place
-        return mu, g
+        mean-free densities, from ``S K* y = mu S y`` (symmetrized) on all
+        hat coordinates less its top pair, the equilibrium ``mu = 1/2``;
+        ``G = unhat(Y)`` is ``S``-orthonormal and weighted-mean-free:
+        ``r = G energy(G, r)`` for mean-free ``r``."""
+        a = self.s_hat @ self.kstar_hat
+        mu, y = scipy.linalg.eigh(0.5 * (a + a.T), self.s_hat)
+        y /= self.sqrt_w[:, None]  # unhat in place
+        return mu[:-1], y[:, :-1]
+
+    @cached_property
+    def mean_free(self) -> np.ndarray:
+        """Orthonormal ``(n, n-1)`` basis of the mean-free hat subspace:
+        the trailing columns of the Householder reflection exchanging
+        ``sqrt_w`` (normalized) with the first axis.  Test reference only:
+        no solve reads it."""
+        v = self.sqrt_w / np.linalg.norm(self.sqrt_w)
+        v[0] += 1.0
+        return (np.eye(len(v)) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
 
     @cached_property
     def background_maps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -218,12 +214,10 @@ def build_scene_operators(scene: InclusionScene, green=None) -> SceneOperators:
     s_hat = 0.5 * (s_hat + s_hat.T)  # symmetric up to roundoff by construction
     kstar_hat = sqrt_w[:, None] * kstar_plain / sqrt_w[None, :]
 
-    basis = _mean_free_basis(sqrt_w / np.linalg.norm(sqrt_w))
-
     return SceneOperators(
         scene=scene, green=green, s_plain=s_plain, kstar_plain=kstar_plain,
-        s_hat=s_hat, kstar_hat=kstar_hat,
-        sqrt_w=sqrt_w, mean_free=basis, correction_defect=defect,
+        s_hat=s_hat, kstar_hat=kstar_hat, sqrt_w=sqrt_w,
+        correction_defect=defect,
     )
 
 

@@ -1,17 +1,16 @@
 """Spectral decomposition of the flux-average operator in the energy
 geometry.
 
-On mean-free densities the flux-average operator ``K*`` is self-adjoint
-with respect to the positive-definite energy form ``S``, so the problem
-
-    ``K* g = mu g``
-
-is the symmetric-definite pencil that ``SceneOperators.pencil`` solves.
-Eigendensities are ``S``-orthonormal (their potentials have unit gradient
-energy), and each carries the spectral value in two forms: the operator
-eigenvalue ``mu`` and the energy ratio ``lambda = -2 mu``, which equals
-the Rayleigh quotient of the interior-minus-exterior energy difference
-and is the quantity whose sign splits the spectrum into families.
+The flux-average operator ``K*`` is self-adjoint with respect to the
+positive-definite energy form ``S``, so ``K* g = mu g`` is a
+symmetric-definite pencil.  ``SceneOperators.pencil`` solves it on all
+densities and drops the equilibrium pair ``mu = 1/2``; the other,
+mean-free eigendensities are ``S``-orthonormal (their potentials have
+unit gradient energy), and each carries the spectral value in two forms:
+the operator eigenvalue ``mu`` and the energy ratio ``lambda = -2 mu``,
+which equals the Rayleigh quotient of the interior-minus-exterior energy
+difference and is the quantity whose sign splits the spectrum into
+families.
 """
 
 from __future__ import annotations

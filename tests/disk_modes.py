@@ -1,9 +1,10 @@
-"""Closed forms on the concentric-disk scene that only the tests use:
-the mode action of the single-layer potential in the zero-outer-flux
-normalization, the spectrum of the flux-average operator on a concentric
-circle, and the gradient energy of a radial mode.  Like
-:mod:`npeit.disk_oracle`, they come from separation of variables,
-independently of the quadrature and layer-potential machinery.
+"""Closed forms on disk scenes that only the tests use: the mode action
+of the single-layer potential in the zero-outer-flux normalization, the
+spectrum of the flux-average operator on a concentric circle and on an
+off-centre circle, and the gradient energy of a radial mode.  Like
+:mod:`npeit.disk_oracle`, they come from separation of variables (after
+a Möbius map for the off-centre circle), independently of the quadrature
+and layer-potential machinery.
 """
 
 import math
@@ -23,6 +24,31 @@ def oracle_flux_average_eigenvalue(m: int, r0: float) -> float:
     if m < 1:
         raise ValueError(f"mode index must be >= 1, got {m}")
     return -0.5 * r0 ** (2 * m)
+
+
+def eccentric_flux_average_eigenvalues(c: float, r: float,
+                                       floor: float) -> np.ndarray:
+    """Eigenvalues of the flux-average operator for the circle of radius
+    ``r`` centered at ``(c, 0)`` in the unit disk (``c != 0``), down to
+    magnitude ``floor``, in ascending order.
+
+    The Möbius map ``z -> (z - a)/(1 - a z)`` keeps the unit disk and
+    takes the circle to the concentric one of radius ``rho``, where ``a``
+    and ``1/a`` are inverse points of both circles.  The transmission
+    problem with its Neumann outer condition is conformally invariant, so
+    the eigenvalues are those of the concentric circle, ``-rho^(2m)/2``,
+    each twice.
+    """
+    x1, x2 = c - r, c + r
+    s, q = x1 + x2, 1.0 + x1 * x2
+    a = (q - math.sqrt(q * q - s * s)) / s
+    rho = abs((x2 - a) / (1.0 - a * x2))
+    values = []
+    m = 1
+    while 0.5 * rho ** (2 * m) > floor:
+        values += [-0.5 * rho ** (2 * m)] * 2
+        m += 1
+    return np.array(values)
 
 
 def oracle_mode_trace(m: int, r0: float) -> float:

@@ -120,8 +120,8 @@ def test_sweep_makes_two_limit_solves_on_one_pencil(tmp_path, monkeypatch):
     assert len(limits) == 2
     grounded, conductor = limits
     assert grounded.beta != 0.0 and conductor.beta == 0.0
-    # one pencil of size n - 1, and the trace constant's 24 x 24 problem
-    assert eigh_sizes == [config.n - 1, 24]
+    # one pencil of size n, and the trace constant's 24 x 24 problem
+    assert eigh_sizes == [config.n, 24]
 
     # the bound against the conductor is the bound against the grounded
     # limit of the mean-free data, which differs from it by a constant

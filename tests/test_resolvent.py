@@ -124,6 +124,6 @@ class TestOnePencilPerOperatorSet:
             solve_transmission(ops, f, k).outer_trace()
         solve_transmission(ops, f, np.geomspace(0.05, 500.0, 10)).outer_trace()
         derivative_ladder(ops, f, 3.0, 4)
-        # one pencil of size n - 1; the other generalized call is the
-        # 24 x 24 Rayleigh-Ritz problem of the trace constant
-        assert sizes == [n - 1, 24]
+        # one pencil of size n (all densities); the other generalized
+        # call is the 24 x 24 Rayleigh-Ritz problem of the trace constant
+        assert sizes == [n, 24]
