@@ -23,14 +23,15 @@ throughout the domain and symmetric.  Two constructions are provided:
   curve (single-layer representation, bordered system fixing the additive
   constant), so its accuracy is spectral in the outer grid.
 
-Both expose the same small surface used by the layer assembly: pairwise
-kernel and correction values, the correction gradient in the first
-argument, the kernel trace on the outer nodes, and one ``neumann`` solver.
+Both expose the same small surface: per point set, kernel and correction
+values, the correction gradient in the first argument and the kernel
+trace on the outer nodes, with nothing cached; per operator set,
+``inclusion_blocks`` (``R`` and its normal derivative on the inclusion
+nodes) and ``outer_maps`` (one outer x inclusion table); one ``neumann``.
 """
 
 from __future__ import annotations
 
-import logging
 from functools import cached_property
 
 import numpy as np
@@ -39,43 +40,28 @@ import scipy.linalg
 from .exceptions import ConditioningError, EvaluationDomainError
 from .geometry import BoundaryCurve
 from .quadrature import (
-    free_adjoint_double_layer_self,
+    flux_kernel,
+    free_self_matrices,
     free_single_layer_eval,
     free_single_layer_gradient,
-    free_single_layer_self,
+    log_kernel,
+    pair_table,
 )
 
 __all__ = [
-    "fundamental_solution",
     "InteriorNeumannSolver",
     "DiskGreen",
     "NumericGreen",
     "make_green",
 ]
 
-log = logging.getLogger(__name__)
-
 # trapezoidal evaluation of smooth layer kernels degrades closer to the
 # curve than a few node spacings; keep a uniform safety margin
 _EVAL_MARGIN_SPACINGS = 3.0
 
 
-def fundamental_solution(points, source=(0.0, 0.0)) -> np.ndarray:
-    """Fundamental solution ``E(x) = -ln|x - y| / (2 pi)`` of ``-Delta``.
-
-    Positive near the source (it equals 1 on the circle of radius
-    ``exp(-2 pi)``) and with unit total flux through any enclosing curve.
-    The layer machinery works with the opposite-sign kernel internally;
-    this is the reference-normalized field exposed to users.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = pts - np.asarray(source, dtype=float)
-    return -np.log(np.hypot(d[:, 0], d[:, 1])) / (2.0 * np.pi)
-
-
-def _pairwise_log(x, y) -> np.ndarray:
-    dx = x[:, None, :] - y[None, :, :]
-    return np.log(np.hypot(dx[..., 0], dx[..., 1])) / (2.0 * np.pi)
+def _points(p) -> np.ndarray:
+    return np.atleast_2d(np.asarray(p, dtype=float))
 
 
 class DiskGreen:
@@ -101,9 +87,7 @@ class DiskGreen:
     def neumann(self) -> InteriorNeumannSolver:  # built on first use
         return InteriorNeumannSolver(self.outer)
 
-    # -- geometry guards ------------------------------------------------------
-
-    def _require_inside(self, pts, what):
+    def _require(self, pts, what):
         rho = np.hypot(*(pts - self.center).T)
         if np.any(rho > self.radius * (1 + 1e-12)):
             raise EvaluationDomainError(
@@ -113,58 +97,75 @@ class DiskGreen:
 
     # -- kernel surface -------------------------------------------------------
 
+    def inclusion_blocks(self, curve: BoundaryCurve):
+        """``R`` and ``d/dnu_x R`` on the inclusion nodes from one
+        reflected-point table; ``outer_maps`` waits for first use."""
+        x = curve.nodes
+        self._require(x, "evaluation points")
+        return (*self._reflected(x, x, curve.normals[:, None]), None)
+
     def correction(self, x, y) -> np.ndarray:
         """``R(x_i, y_j)`` for ``x`` anywhere in the closed disk and ``y``
         strictly inside."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        self._require_inside(x, "evaluation points")
-        self._require_inside(y, "source points")
-        v, vnorm = self._reflected(x, y)
-        return (np.log(vnorm) - np.log(self.radius)) / (2.0 * np.pi)
+        x, y = _points(x), _points(y)
+        self._require(x, "evaluation points")
+        self._require(y, "source points")
+        return self._reflected(x, y)[0]
 
     def correction_gradient_x(self, x, y) -> np.ndarray:
         """``grad_x R(x_i, y_j)``, shape ``(P, Q, 2)``."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        v, vnorm = self._reflected(x, y)
-        yh = (y - self.center) / self.radius
-        ynorm = np.hypot(yh[:, 0], yh[:, 1])
-        scale = ynorm[None, :] / (self.radius * 2.0 * np.pi * vnorm**2)
-        return v * scale[..., None]
+        return self._reflected(_points(x), _points(y))[1]
 
     def kernel(self, x, y) -> np.ndarray:
         """``N(x_i, y_j)`` for distinct point sets."""
-        return _pairwise_log(np.atleast_2d(np.asarray(x, float)),
-                             np.atleast_2d(np.asarray(y, float))) \
+        return log_kernel(pair_table(_points(x), _points(y))[0]) \
             + self.correction(x, y)
 
     def outer_trace_kernel(self, y) -> np.ndarray:
-        """``N(x_i, y_j)`` with ``x_i`` the outer-boundary nodes.
+        """``N(x_i, y_j)`` with ``x_i`` the outer-boundary nodes."""
+        y = _points(y)
+        self._require(y, "source points")
+        dx, r2pi = pair_table(self.outer.nodes, y)
+        return self._trace(dx, r2pi, log_kernel(dx))[0]
 
-        On the outer circle the reflected term collapses and
-        ``N = (1/pi) ln(|x - y| / rho)``.
-        """
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        self._require_inside(y, "source points")
-        dx = self.outer.nodes[:, None, :] - y[None, :, :]
-        dist = np.hypot(dx[..., 0], dx[..., 1])
-        return np.log(dist / self.radius) / np.pi
+    def outer_maps(self, curve: BoundaryCurve):
+        """From one outer x inclusion table: the free outer layer's values
+        ``E`` and normal derivatives ``F`` at the inclusion nodes (transposed
+        views of outer-major arrays) and the outer-trace matrix (inclusion
+        weights folded in); with them, what ``_trace`` made beside it."""
+        w = self.outer.weights[:, None]
+        dx, r2pi = pair_table(self.outer.nodes, curve.nodes)
+        values = log_kernel(dx)
+        flux = flux_kernel(dx, r2pi, -curve.normals)
+        trace, extra = self._trace(dx, r2pi, values)
+        del dx, r2pi
+        trace *= curve.weights
+        values *= w
+        flux *= w
+        return (values.T, flux.T, trace), extra
 
-    def _reflected(self, x, y):
+    def _trace(self, dx, r2pi, logs):
+        # on the outer circle the reflected term collapses and
+        # N = (1/pi) ln(|x - y| / rho)
+        return 2.0 * logs - np.log(self.radius) / np.pi, None
+
+    def _reflected(self, x, y, nu=None):
+        # R(x_i, y_j) and grad_x R = |yh| v / (2 pi rho |v|^2), or its part
+        # along unit vectors nu, from one table of v = xh |yh| - yh/|yh|
         xh = (x - self.center) / self.radius
         yh = (y - self.center) / self.radius
         ynorm = np.hypot(yh[:, 0], yh[:, 1])
-        safe = np.maximum(ynorm, 1e-300)
-        yunit = yh / safe[:, None]
+        yunit = yh / np.maximum(ynorm, 1e-300)[:, None]
         v = xh[:, None, :] * ynorm[None, :, None] - yunit[None, :, :]
         vnorm = np.hypot(v[..., 0], v[..., 1])
         # sources at the center: the reflected term drops out entirely
         at_center = ynorm < 1e-14
-        if np.any(at_center):
-            vnorm[:, at_center] = 1.0
-            v[:, at_center, :] = 0.0
-        return v, vnorm
+        vnorm[:, at_center] = 1.0
+        v[:, at_center, :] = 0.0
+        scale = ynorm[None, :] / (self.radius * 2.0 * np.pi * vnorm**2)
+        grad = v * scale[..., None] if nu is None else \
+            (v[..., 0] * nu[..., 0] + v[..., 1] * nu[..., 1]) * scale
+        return (np.log(vnorm) - np.log(self.radius)) / (2.0 * np.pi), grad
 
 
 class InteriorNeumannSolver:
@@ -188,8 +189,7 @@ class InteriorNeumannSolver:
         self.outer = outer
         n = outer.n
         self.sqrt_w = np.sqrt(outer.weights)
-        self.s_self = free_single_layer_self(outer)
-        kstar = free_adjoint_double_layer_self(outer)
+        self.s_self, kstar = free_self_matrices(outer)
         kstar_hat = (self.sqrt_w[:, None] * kstar) / self.sqrt_w[None, :]
         w0 = self.sqrt_w / np.linalg.norm(self.sqrt_w)
         bordered = np.zeros((n + 1, n + 1))
@@ -211,8 +211,8 @@ class InteriorNeumannSolver:
                 f"{np.max(np.abs(means)):.3e}); the problem is incompatible"
             )
         rhs = np.zeros((self.outer.n + 1, flux.shape[1]))
-        rhs[:-1] = self.sqrt_w[:, None] * flux
-        sol = scipy.linalg.lu_solve(self._lu, rhs)
+        np.multiply(self.sqrt_w[:, None], flux, out=rhs[:-1])
+        sol = scipy.linalg.lu_solve(self._lu, rhs, overwrite_b=True)
         psi = sol[:-1] / self.sqrt_w[:, None]
         return psi, sol[-1]
 
@@ -232,36 +232,6 @@ class NumericGreen:
     def __init__(self, outer: BoundaryCurve):
         self.outer = outer
         self.neumann = InteriorNeumannSolver(outer)
-        # cache of per-source-set correction data keyed by array bytes
-        self._cache = {}
-
-    def _correction_data(self, y, x=None):
-        # one domain guard per point set, evaluation points ``x`` first; the
-        # cache keys are sets that passed, and ``y`` equal to ``x`` has passed
-        key, xkey = y.tobytes(), None if x is None else x.tobytes()
-        if xkey is not None and xkey not in self._cache:
-            self._require_far_inside(x, "evaluation points")
-        if key in self._cache:
-            return self._cache[key]
-        if xkey != key:
-            self._require_far_inside(y, "source points")
-        nodes, normals = self.outer.nodes, self.outer.normals
-        dx = nodes[:, None, :] - y[None, :, :]
-        r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-        dnu_g = (dx[..., 0] * normals[:, 0][:, None]
-                 + dx[..., 1] * normals[:, 1][:, None]) / (2.0 * np.pi * r2)
-        flux_target = 1.0 / self.neumann.length - dnu_g
-        psi, borders = self.neumann.solve(flux_target)
-        if np.max(np.abs(borders)) > 1e-6:
-            raise ConditioningError(
-                "outer Neumann solve left a large compatibility defect "
-                f"({np.max(np.abs(borders)):.3e}); refine the outer grid"
-            )
-        g_mean = self.outer.weights @ _pairwise_log(nodes, y)
-        s_mean = self.outer.weights @ (self.neumann.s_self @ psi)
-        const = -(g_mean + s_mean) / self.neumann.length
-        self._cache[key] = (psi, const)
-        return psi, const
 
     def _require_far_inside(self, pts, what):
         # the first offending point raises as per-point tests would
@@ -277,29 +247,59 @@ class NumericGreen:
                 "boundary; the numeric kernel is inaccurate there"
             )
 
+    _require = _require_far_inside  # the guard the shared methods call
+
+    def _correction_data(self, y, x=None):
+        # (psi, const) of sources y; one guard per point set, x first
+        if x is not None:
+            self._require(x, "evaluation points")
+        if x is None or not np.array_equal(x, y):
+            self._require(y, "source points")
+        dx, r2pi = pair_table(self.outer.nodes, y)
+        return self._trace(dx, r2pi, log_kernel(dx))[1]
+
+    def _trace(self, dx, r2pi, logs):
+        # one Neumann solve for the sources' densities; one product with the
+        # outer self matrix serves the zero-mean constant and the trace
+        outer, neumann = self.outer, self.neumann
+        target = 1.0 / neumann.length - flux_kernel(dx, r2pi, outer.normals[:, None])
+        psi, borders = neumann.solve(target)
+        del target
+        if np.max(np.abs(borders)) > 1e-6:
+            raise ConditioningError(
+                "outer Neumann solve left a large compatibility defect "
+                f"({np.max(np.abs(borders)):.3e}); refine the outer grid"
+            )
+        trace = neumann.s_self @ psi
+        const = -(outer.weights @ logs + outer.weights @ trace) / neumann.length
+        trace += logs
+        trace += const
+        return trace, (psi, const)
+
     # -- kernel surface -------------------------------------------------------
 
+    def inclusion_blocks(self, curve: BoundaryCurve):
+        """``R`` and ``d/dnu_x R`` on the inclusion nodes, ``E psi + c`` and
+        ``F psi``, with ``outer_maps`` that made ``psi``."""
+        self._require(curve.nodes, "evaluation points")
+        maps, (psi, const) = self.outer_maps(curve)
+        return maps[0] @ psi + const, maps[1] @ psi, maps
+
     def correction(self, x, y) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
+        x, y = _points(x), _points(y)
         psi, const = self._correction_data(y, x)
-        return free_single_layer_eval(self.outer, x) @ psi + const[None, :]
+        return free_single_layer_eval(self.outer, x) @ psi + const
 
     def correction_gradient_x(self, x, y) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
+        x, y = _points(x), _points(y)
         psi, _ = self._correction_data(y, x)
         # one stacked BLAS product over the outer nodes, one per component
         grad = np.moveaxis(free_single_layer_gradient(self.outer, x), 2, 0)
         return np.moveaxis(grad @ psi, 0, 2)
 
     kernel = DiskGreen.kernel  # the free logarithm plus this correction
-
-    def outer_trace_kernel(self, y) -> np.ndarray:
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        psi, const = self._correction_data(y)
-        return (_pairwise_log(self.outer.nodes, y)
-                + self.neumann.s_self @ psi + const[None, :])
+    outer_trace_kernel = DiskGreen.outer_trace_kernel
+    outer_maps = DiskGreen.outer_maps
 
 
 def make_green(outer: BoundaryCurve):

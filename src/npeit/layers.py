@@ -23,8 +23,10 @@ root of the weights), in which ``S`` is exactly symmetric and adjoints
 are exact transposes.  The mean-free constraint needs no basis: the one
 eigenvalue of ``K*`` outside ``(-1/2, 1/2)`` is ``1/2``, at the equilibrium
 density (constant potential on the inclusion), and every other
-eigendensity is ``S``-orthogonal to it, so weighted-mean-free.  What does
-not depend on the conductivity is built once, on first use.
+eigendensity is ``S``-orthogonal to it, so weighted-mean-free.  The
+build reads one displacement table of the inclusion and one call to the
+outer kernel; the outer-side maps come from that call's outer x inclusion
+table on the numeric kernel, else from one on first use, like the pencil.
 """
 
 from __future__ import annotations
@@ -39,12 +41,7 @@ import scipy.linalg
 from .exceptions import EvaluationDomainError
 from .geometry import BoundaryCurve, InclusionScene, distance_to_boundary
 from .green import _EVAL_MARGIN_SPACINGS, make_green
-from .quadrature import (
-    free_adjoint_double_layer_self,
-    free_single_layer_eval,
-    free_single_layer_gradient,
-    free_single_layer_self,
-)
+from .quadrature import free_self_matrices, free_single_layer_gradient
 
 __all__ = [
     "SceneOperators",
@@ -75,6 +72,8 @@ class SceneOperators:
     correction_defect : float
         Asymmetry of the kernel correction block before symmetrization
         (zero for the closed-form disk kernel).
+    outer_blocks : tuple or None
+        The kernel's ``outer_maps`` of the inclusion if the build made them.
     """
 
     scene: InclusionScene
@@ -85,6 +84,7 @@ class SceneOperators:
     kstar_hat: np.ndarray = field(repr=False)
     sqrt_w: np.ndarray = field(repr=False)
     correction_defect: float = 0.0
+    outer_blocks: tuple | None = field(default=None, repr=False)
 
     # -- representations ------------------------------------------------------
 
@@ -154,9 +154,13 @@ class SceneOperators:
     # -- per-operator-set members, built on first use -------------------------
 
     @cached_property
+    def _outer(self) -> tuple:  # the build's outer maps, else formed here
+        return self.outer_blocks or self.green.outer_maps(self.curve)[0]
+
+    @property
     def outer_trace_matrix(self) -> np.ndarray:
         """Outer-node trace per nodal density value (weights folded in)."""
-        return self.green.outer_trace_kernel(self.curve.nodes) * self.curve.weights
+        return self._outer[2]
 
     @cached_property
     def pencil(self) -> tuple[np.ndarray, np.ndarray]:
@@ -166,28 +170,16 @@ class SceneOperators:
         ``G = unhat(Y)`` is ``S``-orthonormal and weighted-mean-free:
         ``r = G energy(G, r)`` for mean-free ``r``."""
         a = self.s_hat @ self.kstar_hat
-        mu, y = scipy.linalg.eigh(0.5 * (a + a.T), self.s_hat)
+        a = 0.5 * (a + a.T)  # exactly symmetric: its F-ordered view is overwritten
+        mu, y = scipy.linalg.eigh(a.T, self.s_hat, overwrite_a=True)
         y /= self.sqrt_w[:, None]  # unhat in place
         return mu[:-1], y[:, :-1]
 
-    @cached_property
-    def mean_free(self) -> np.ndarray:
-        """Orthonormal ``(n, n-1)`` basis of the mean-free hat subspace:
-        the trailing columns of the Householder reflection exchanging
-        ``sqrt_w`` (normalized) with the first axis.  Test reference only:
-        no solve reads it."""
-        v = self.sqrt_w / np.linalg.norm(self.sqrt_w)
-        v[0] += 1.0
-        return (np.eye(len(v)) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
-
-    @cached_property
+    @property
     def background_maps(self) -> tuple[np.ndarray, np.ndarray]:
         """Inclusion-node values and normal derivatives of a free single
         layer on the outer curve, per outer density value."""
-        outer, curve = self.scene.outer, self.curve
-        grad = free_single_layer_gradient(outer, curve.nodes)
-        return (free_single_layer_eval(outer, curve.nodes),
-                np.einsum("pjd,pd->pj", grad, curve.normals))
+        return self._outer[:2]
 
 
 def build_scene_operators(scene: InclusionScene, green=None) -> SceneOperators:
@@ -198,17 +190,15 @@ def build_scene_operators(scene: InclusionScene, green=None) -> SceneOperators:
     w = curve.weights
     sqrt_w = np.sqrt(w)
 
-    corr = green.correction(curve.nodes, curve.nodes)
+    s_plain, kstar_plain = free_self_matrices(curve)
+    corr, dnu_corr, outer_blocks = green.inclusion_blocks(curve)
     defect = float(np.max(np.abs(corr - corr.T)))
     if defect > 1e-9:
         log.warning("kernel correction asymmetry %.3e; symmetrizing", defect)
-    corr = 0.5 * (corr + corr.T)
-
-    s_plain = -(free_single_layer_self(curve) + corr * w[None, :])
-
-    dcorr = green.correction_gradient_x(curve.nodes, curve.nodes)
-    dnu_corr = np.einsum("ijd,id->ij", dcorr, curve.normals)
-    kstar_plain = free_adjoint_double_layer_self(curve) + dnu_corr * w[None, :]
+    s_plain += 0.5 * (corr + corr.T) * w
+    s_plain *= -1.0
+    kstar_plain += dnu_corr * w
+    del corr, dnu_corr
 
     s_hat = sqrt_w[:, None] * s_plain / sqrt_w[None, :]
     s_hat = 0.5 * (s_hat + s_hat.T)  # symmetric up to roundoff by construction
@@ -217,7 +207,7 @@ def build_scene_operators(scene: InclusionScene, green=None) -> SceneOperators:
     return SceneOperators(
         scene=scene, green=green, s_plain=s_plain, kstar_plain=kstar_plain,
         s_hat=s_hat, kstar_hat=kstar_hat, sqrt_w=sqrt_w,
-        correction_defect=defect,
+        correction_defect=defect, outer_blocks=outer_blocks,
     )
 
 

@@ -26,8 +26,10 @@ from .geometry import BoundaryCurve
 
 __all__ = [
     "log_weights",
-    "free_single_layer_self",
-    "free_adjoint_double_layer_self",
+    "pair_table",
+    "log_kernel",
+    "flux_kernel",
+    "free_self_matrices",
     "free_single_layer_eval",
     "free_single_layer_gradient",
 ]
@@ -43,7 +45,8 @@ def log_weights(n: int) -> np.ndarray:
     on the equispaced grid ``t_j = 2 pi j / n`` and is exact whenever
     ``h`` is a trigonometric polynomial of degree at most ``n/2`` (the
     discrete symbol is ``-1/|k|`` for ``0 < |k| < n/2``, ``0`` at
-    ``k = 0``, and ``-2/n`` at the Nyquist mode).
+    ``k = 0``, and ``-2/n`` at the Nyquist mode).  The cosines come from
+    a table at the exact integer arguments ``(d m) mod n``.
 
     Parameters
     ----------
@@ -53,49 +56,57 @@ def log_weights(n: int) -> np.ndarray:
     if n < 4 or n % 2 != 0:
         raise ValueError(f"grid size must be even and >= 4, got {n}")
     half = n // 2
-    d = np.arange(n)
-    tau = 2.0 * np.pi * d / n
-    m = np.arange(1, half)
-    w = -(2.0 / n) * (np.cos(np.outer(tau, m)) / m).sum(axis=1)
+    d, m = np.arange(n), np.arange(1, half)
+    w = np.cos(2.0 * np.pi * d / n)[np.outer(d, m) % n] @ (-(2.0 / n) / m)
     w -= ((-1.0) ** d) / (half * n)
     return w
 
 
-def free_single_layer_self(curve: BoundaryCurve) -> np.ndarray:
-    """Self matrix of the free single layer ``(1/2 pi) ln|x - y|``.
+def pair_table(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Displacements ``x_p - y_j`` of two point sets, shape ``(P, J, 2)``,
+    and ``2 pi |x_p - y_j|^2``: the one pairwise table the kernels read."""
+    dx = x[:, None, :] - y[None, :, :]
+    return dx, 2.0 * np.pi * (dx[..., 0] ** 2 + dx[..., 1] ** 2)
 
-    Entry ``(i, j)`` carries the quadrature weight, so ``S @ g`` gives the
-    potential at the curve nodes for nodal density values ``g``.
+
+def log_kernel(dx: np.ndarray) -> np.ndarray:
+    """``ln|x - y| / (2 pi)`` on a displacement table."""
+    return np.log(np.hypot(dx[..., 0], dx[..., 1])) / (2.0 * np.pi)
+
+
+def flux_kernel(dx: np.ndarray, r2pi: np.ndarray, nu=None) -> np.ndarray:
+    """``grad_x ln|x - y| / (2 pi) = (x - y) / (2 pi |x - y|^2)`` on a
+    table, or its component along unit vectors ``nu`` that broadcast
+    against the table's leading axes (the normal contracted first)."""
+    if nu is None:
+        return dx / r2pi[..., None]
+    return (dx[..., 0] * nu[..., 0] + dx[..., 1] * nu[..., 1]) / r2pi
+
+
+def free_self_matrices(curve: BoundaryCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Self matrices ``(S, K*)`` of the free single layer
+    ``(1/2 pi) ln|x - y|`` and of the free adjoint double layer, from one
+    displacement table of the curve; weights folded in, so ``S @ g`` is
+    the potential at the nodes of nodal density values ``g``.  ``K*`` has
+    the smooth kernel ``<x - y, nu(x)> / (2 pi |x - y|^2)``, with the
+    diagonal limit ``kappa(x) / (4 pi)``, under the trapezoidal rule.
     """
-    n = curve.n
-    w = log_weights(n)
-    t = curve.t
-    dt = t[:, None] - t[None, :]
-    dx = curve.nodes[:, None, :] - curve.nodes[None, :, :]
-    dist = np.hypot(dx[..., 0], dx[..., 1])
-    sin_half = 2.0 * np.abs(np.sin(0.5 * dt))
+    n, t = curve.n, curve.t
+    dx, r2pi = pair_table(curve.nodes, curve.nodes)
     with np.errstate(divide="ignore", invalid="ignore"):
-        m_smooth = np.log(dist / sin_half)
-    np.fill_diagonal(m_smooth, np.log(curve.speed))
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return (0.5 * w[idx] + m_smooth / n) * curve.speed[None, :]
-
-
-def free_adjoint_double_layer_self(curve: BoundaryCurve) -> np.ndarray:
-    """Self matrix of the free adjoint double layer.
-
-    Kernel ``<x - y, nu(x)> / (2 pi |x - y|^2)`` with the continuous
-    diagonal limit ``kappa(x) / (4 pi)``; smooth on smooth curves, so the
-    trapezoidal rule applies.  Arc weights are folded in.
-    """
-    dx = curve.nodes[:, None, :] - curve.nodes[None, :, :]
-    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    num = dx[..., 0] * curve.normals[:, 0][:, None] + \
-        dx[..., 1] * curve.normals[:, 1][:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kern = num / (2.0 * np.pi * r2)
-    np.fill_diagonal(kern, curve.curvature / (4.0 * np.pi))
-    return kern * curve.weights[None, :]
+        kstar = flux_kernel(dx, r2pi, curve.normals[:, None])
+        del r2pi
+        s = np.hypot(dx[..., 0], dx[..., 1])
+        del dx
+        s /= 2.0 * np.abs(np.sin(0.5 * (t[:, None] - t[None, :])))
+    np.log(s, out=s)  # the smooth remainder M
+    np.fill_diagonal(s, np.log(curve.speed))
+    np.fill_diagonal(kstar, curve.curvature / (4.0 * np.pi))
+    s /= n
+    s += 0.5 * log_weights(n)[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+    s *= curve.speed[None, :]
+    kstar *= curve.weights[None, :]
+    return s, kstar
 
 
 def free_single_layer_eval(curve: BoundaryCurve, points) -> np.ndarray:
@@ -106,9 +117,7 @@ def free_single_layer_eval(curve: BoundaryCurve, points) -> np.ndarray:
     by callers, not here).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dx = pts[:, None, :] - curve.nodes[None, :, :]
-    dist = np.hypot(dx[..., 0], dx[..., 1])
-    return np.log(dist) * curve.weights[None, :] / (2.0 * np.pi)
+    return log_kernel(pair_table(pts, curve.nodes)[0]) * curve.weights
 
 
 def free_single_layer_gradient(curve: BoundaryCurve, points) -> np.ndarray:
@@ -119,6 +128,4 @@ def free_single_layer_gradient(curve: BoundaryCurve, points) -> np.ndarray:
     ``np.einsum('pjd,j->pd', G, g)`` is the potential gradient.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dx = pts[:, None, :] - curve.nodes[None, :, :]
-    r2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    return dx * (curve.weights[None, :] / (2.0 * np.pi * r2))[..., None]
+    return flux_kernel(*pair_table(pts, curve.nodes)) * curve.weights[:, None]

@@ -125,24 +125,26 @@ def solve_spectrum(ops: SceneOperators, n_modes: int | None = None) -> NPSpectru
 
     mu_vals, g_all = ops.pencil  # S-orthonormal eigendensities
 
-    modes: list[SpectralMode] = []
-    order = {"+": [], "-": [], "0": []}
     lam_vals = -2.0 * mu_vals
-    for i, lam in enumerate(lam_vals):
-        fam = "+" if lam > _FAMILY_TOL else ("-" if lam < -_FAMILY_TOL else "0")
-        order[fam].append(i)
-    for fam in ("+", "-", "0"):
-        idx = sorted(order[fam], key=lambda i: -abs(lam_vals[i]))[:n_modes]
-        for rank, i in enumerate(idx, start=1):
-            g = _fix_sign(g_all[:, i].copy())
-            resid = ops.energy_norm2(ops.flux_average(g) - mu_vals[i] * g)
-            modes.append(SpectralMode(
-                index=rank, family=fam, mu=float(mu_vals[i]),
-                lam=float(lam_vals[i]), density=g,
-                residual=float(np.sqrt(max(resid, 0.0)))))
+    family = np.where(lam_vals > _FAMILY_TOL, "+",
+                      np.where(lam_vals < -_FAMILY_TOL, "-", "0"))
+    ranked = np.argsort(-np.abs(lam_vals), kind="stable")
+    kept = [(fam, rank, i) for fam in "+-0" for rank, i in
+            enumerate(ranked[family[ranked] == fam][:n_modes], start=1)]
+    idx = [i for _, _, i in kept]
+    g = _fix_sign(g_all[:, idx])
+    # residuals K* G - G diag(mu) as one block; energies in one more product
+    resid = ops.hat(ops.flux_average(g) - g * mu_vals[idx])
+    resid = np.sum(resid * (ops.s_hat @ resid), axis=0)
+    modes = [SpectralMode(index=rank, family=fam, mu=float(mu_vals[i]),
+                          lam=float(lam_vals[i]), density=g[:, c].copy(),
+                          residual=float(np.sqrt(max(resid[c], 0.0))))
+             for c, (fam, rank, i) in enumerate(kept)]
     return NPSpectrum(modes, ops)
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    first = v[np.argmax(np.abs(v) > 1e-8 * np.max(np.abs(v)))]
-    return -v if first < 0 else v
+def _fix_sign(g: np.ndarray) -> np.ndarray:
+    # per column: the first entry above 1e-8 of the largest is positive
+    big = np.abs(g) > 1e-8 * np.max(np.abs(g), axis=0)
+    first = g[np.argmax(big, axis=0), np.arange(g.shape[1])]
+    return g * np.where(first < 0, -1.0, 1.0)

@@ -10,18 +10,25 @@ import pytest
 
 from npeit.exceptions import ConditioningError, EvaluationDomainError
 from npeit.geometry import InclusionScene, make_circle, make_ellipse, make_star
-from npeit.green import (
-    DiskGreen,
-    InteriorNeumannSolver,
-    NumericGreen,
-    fundamental_solution,
-    make_green,
-)
+from npeit.green import DiskGreen, InteriorNeumannSolver, NumericGreen, make_green
 from npeit.layers import build_scene_operators
 from npeit.quadrature import free_single_layer_eval, free_single_layer_gradient
 
 INTERIOR_POINTS = np.array([[0.2, 0.3], [-0.4, 0.1], [0.05, -0.35], [0.1, 0.02]])
 SOURCE_POINTS = np.array([[0.3, 0.1], [0.0, 0.0], [-0.2, 0.45]])
+
+
+def fundamental_solution(points, source=(0.0, 0.0)) -> np.ndarray:
+    """Fundamental solution ``E(x) = -ln|x - y| / (2 pi)`` of ``-Delta``.
+
+    Positive near the source (it equals 1 on the circle of radius
+    ``exp(-2 pi)``) and with unit total flux through any enclosing curve.
+    The layer machinery works with the opposite-sign kernel internally;
+    this is the reference-normalized field.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    d = pts - np.asarray(source, dtype=float)
+    return -np.log(np.hypot(d[:, 0], d[:, 1])) / (2.0 * np.pi)
 
 
 class TestFundamentalSolution:
@@ -260,9 +267,17 @@ class TestCorrectionGradient:
             calls.append((subscripts, [np.shape(op) for op in operands]))
             return original(subscripts, *operands, **kwargs)
 
+        solves = []
+        solve = InteriorNeumannSolver.solve
+
+        def counting(self, flux):
+            solves.append(np.shape(flux))
+            return solve(self, flux)
+
+        monkeypatch.setattr(InteriorNeumannSolver, "solve", counting)
         monkeypatch.setattr(np, "einsum", recording)
         build_scene_operators(scene)
-        assert calls  # the normal derivative of the correction gradient
+        assert solves == [(outer.n, scene.inclusion.n)]  # one solve, n columns
         for subscripts, shapes in calls:
             assert subscripts != "pjd,jq->pqd"
             inputs, output = subscripts.replace(" ", "").split("->")

@@ -26,6 +26,7 @@ from disk_modes import (
     oracle_mode_trace,
     single_layer_mode_field,
 )
+from references import mean_free_basis
 
 
 def concentric(n=128, r0=0.5, k0=1.0):
@@ -137,7 +138,7 @@ class TestEnergyForms:
 class TestMeanFreeMachinery:
     def test_basis_orthonormal(self):
         ops = build_scene_operators(concentric(64))
-        p = ops.mean_free
+        p = mean_free_basis(ops)
         assert np.max(np.abs(p.T @ p - np.eye(63))) <= 1e-12
         w0 = ops.sqrt_w / np.linalg.norm(ops.sqrt_w)
         assert np.max(np.abs(p.T @ w0)) <= 1e-13

@@ -18,12 +18,19 @@ import pytest
 
 from npeit.geometry import make_circle, make_ellipse, make_star
 from npeit.quadrature import (
-    free_adjoint_double_layer_self,
+    free_self_matrices,
     free_single_layer_eval,
     free_single_layer_gradient,
-    free_single_layer_self,
     log_weights,
 )
+
+
+def free_single_layer_self(curve):
+    return free_self_matrices(curve)[0]
+
+
+def free_adjoint_double_layer_self(curve):
+    return free_self_matrices(curve)[1]
 
 
 class TestLogWeights:
@@ -42,6 +49,34 @@ class TestLogWeights:
             assert np.max(np.abs(conv @ h + h / k)) <= 1e-13
         h = np.cos(16 * t)
         assert np.max(np.abs(conv @ h + (2.0 / n) * h)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 16, 64, 160, 256, 512, 1024, 2048])
+    def test_cosine_table_matches_the_cosine_sum(self, n):
+        # the weights read the cosines from a table at exact integer
+        # arguments; frozen reference: the direct cosine sum they replaced,
+        # whose own argument roundoff reaches 4.9e-14 of max |w| at n = 2048
+        half = n // 2
+        d = np.arange(n)
+        m = np.arange(1, half)
+        ref = -(2.0 / n) * (np.cos(np.outer(2.0 * np.pi * d / n, m)) / m).sum(axis=1)
+        ref -= ((-1.0) ** d) / (half * n)
+        assert np.max(np.abs(log_weights(n) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("n", [160, 512, 2048])
+    def test_matches_an_extended_precision_sum(self, n):
+        # exact integer argument reduction in long double; the direct
+        # double-precision sum is off by up to 4.9e-14 of max |w| here
+        half = n // 2
+        d = np.arange(n, dtype=np.longdouble)
+        m = np.arange(1, half, dtype=np.longdouble)
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        ang = (np.outer(d, m) % n) * (2 * pi / n)
+        ref = -(2 / np.longdouble(n)) * (np.cos(ang) / m).sum(axis=1)
+        ref -= ((-1.0) ** np.arange(n)) / np.longdouble(half * n)
+        scale = float(np.max(np.abs(ref)))
+        assert float(np.max(np.abs(log_weights(n) - ref))) <= 2e-15 * scale
 
     def test_validation(self):
         with pytest.raises(ValueError):
