@@ -108,12 +108,18 @@ class ExperimentConfig:
 
     def data_vector(self, t):
         """Boundary data ``f`` at the parameter values ``t`` (a numpy
-        array)."""
+        array); ConfigError if its mean-free part, which drives every
+        solve, is zero up to the roundoff of its harmonic terms."""
         import numpy as np
 
         out = np.zeros_like(t)
         for term in self.f_terms:
             out = out + term.evaluate(t)
+        if np.ptp(out) <= 1e-13 * sum(abs(term.amplitude)
+                                      for term in self.f_terms if term.m):
+            text = " ".join(map(FourierTerm.render, self.f_terms))
+            raise ConfigError(f"[physics] f = {text} has no mean-free part: "
+                              "constant boundary data drives no field")
         return out
 
 

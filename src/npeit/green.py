@@ -125,8 +125,7 @@ class DiskGreen:
         """``N(x_i, y_j)`` with ``x_i`` the outer-boundary nodes."""
         y = _points(y)
         self._require(y, "source points")
-        dx, r2pi = pair_table(self.outer.nodes, y)
-        return self._trace(dx, r2pi, log_kernel(dx))[0]
+        return self._trace(*self._outer_table(y)[:2])[0]
 
     def outer_maps(self, curve: BoundaryCurve):
         """From one outer x inclusion table: the free outer layer's values
@@ -134,17 +133,24 @@ class DiskGreen:
         views of outer-major arrays) and the outer-trace matrix (inclusion
         weights folded in); with them, what ``_trace`` made beside it."""
         w = self.outer.weights[:, None]
-        dx, r2pi = pair_table(self.outer.nodes, curve.nodes)
-        values = log_kernel(dx)
-        flux = flux_kernel(dx, r2pi, -curve.normals)
-        trace, extra = self._trace(dx, r2pi, values)
-        del dx, r2pi
+        values, data, flux = self._outer_table(curve.nodes, curve.normals)
+        trace, extra = self._trace(values, data)
         trace *= curve.weights
         values *= w
         flux *= w
         return (values.T, flux.T, trace), extra
 
-    def _trace(self, dx, r2pi, logs):
+    def _outer_table(self, y, normals=None):
+        # one outer x source table, released on return: the free logarithm,
+        # the kernel's outer Neumann data, and the flux along -normals
+        dx, r2pi = pair_table(self.outer.nodes, y)
+        flux = None if normals is None else flux_kernel(dx, r2pi, -normals)
+        return log_kernel(dx), self._neumann_data(dx, r2pi), flux
+
+    def _neumann_data(self, dx, r2pi):
+        return None  # the closed form solves nothing
+
+    def _trace(self, logs, data):
         # on the outer circle the reflected term collapses and
         # N = (1/pi) ln(|x - y| / rho)
         return 2.0 * logs - np.log(self.radius) / np.pi, None
@@ -255,16 +261,18 @@ class NumericGreen:
             self._require(x, "evaluation points")
         if x is None or not np.array_equal(x, y):
             self._require(y, "source points")
-        dx, r2pi = pair_table(self.outer.nodes, y)
-        return self._trace(dx, r2pi, log_kernel(dx))[1]
+        return self._trace(*self._outer_table(y)[:2])[1]
 
-    def _trace(self, dx, r2pi, logs):
+    def _neumann_data(self, dx, r2pi):
+        # the correction's outer Neumann data, one column per source
+        return 1.0 / self.neumann.length \
+            - flux_kernel(dx, r2pi, self.outer.normals[:, None])
+
+    def _trace(self, logs, target):
         # one Neumann solve for the sources' densities; one product with the
         # outer self matrix serves the zero-mean constant and the trace
         outer, neumann = self.outer, self.neumann
-        target = 1.0 / neumann.length - flux_kernel(dx, r2pi, outer.normals[:, None])
         psi, borders = neumann.solve(target)
-        del target
         if np.max(np.abs(borders)) > 1e-6:
             raise ConditioningError(
                 "outer Neumann solve left a large compatibility defect "
@@ -300,6 +308,7 @@ class NumericGreen:
     kernel = DiskGreen.kernel  # the free logarithm plus this correction
     outer_trace_kernel = DiskGreen.outer_trace_kernel
     outer_maps = DiskGreen.outer_maps
+    _outer_table = DiskGreen._outer_table
 
 
 def make_green(outer: BoundaryCurve):

@@ -17,13 +17,14 @@ objects matter downstream:
   gradient energy of the potentials, the bilinear form whose quotient
   against ``S`` is extremized by the spectral densities.
 
-Matrices are kept in two representations: "plain" (acting on nodal
-values, quadrature weights folded in) and "hat" (conjugated by the square
-root of the weights), in which ``S`` is exactly symmetric and adjoints
-are exact transposes.  The mean-free constraint needs no basis: the one
+Operators act on nodal values, quadrature weights ``w`` folded into
+their columns.  An operator set holds two matrices: ``K*`` and the energy
+matrix ``E = sym(W S)``, ``W = diag(w)``, so that ``(g | S h) = g^T E h``
+and the potential trace is ``-(E g) / w`` by rows; ``K*`` is
+``E``-self-adjoint.  The mean-free constraint needs no basis: the one
 eigenvalue of ``K*`` outside ``(-1/2, 1/2)`` is ``1/2``, at the equilibrium
 density (constant potential on the inclusion), and every other
-eigendensity is ``S``-orthogonal to it, so weighted-mean-free.  The
+eigendensity is ``E``-orthogonal to it, so weighted-mean-free.  The
 build reads one displacement table of the inclusion and one call to the
 outer kernel; the outer-side maps come from that call's outer x inclusion
 table on the numeric kernel, else from one on first use, like the pencil.
@@ -61,14 +62,12 @@ class SceneOperators:
     scene : InclusionScene
     green : DiskGreen or NumericGreen
         Outer-domain kernel the operators were built against.
-    s_plain : ndarray
-        Energy-sign single-layer trace matrix (positive definite form):
-        the potential trace on the inclusion is ``-s_plain @ g``.
+    energy_matrix : ndarray
+        ``E = sym(W S)``, exactly symmetric and positive definite: the
+        energy form is ``(g | S h) = g^T E h``, and the potential trace on
+        the inclusion is ``-(E g) / w`` by rows.
     kstar_plain : ndarray
         Flux-average operator on nodal values.
-    s_hat, kstar_hat : ndarray
-        Hat-space versions; ``s_hat`` is exactly symmetric and
-        ``kstar_hat.T`` is the hat-space ``K``.
     correction_defect : float
         Asymmetry of the kernel correction block before symmetrization
         (zero for the closed-form disk kernel).
@@ -78,26 +77,14 @@ class SceneOperators:
 
     scene: InclusionScene
     green: object
-    s_plain: np.ndarray = field(repr=False)
+    energy_matrix: np.ndarray = field(repr=False)
     kstar_plain: np.ndarray = field(repr=False)
-    s_hat: np.ndarray = field(repr=False)
-    kstar_hat: np.ndarray = field(repr=False)
-    sqrt_w: np.ndarray = field(repr=False)
     correction_defect: float = 0.0
     outer_blocks: tuple | None = field(default=None, repr=False)
-
-    # -- representations ------------------------------------------------------
 
     @property
     def curve(self) -> BoundaryCurve:
         return self.scene.inclusion
-
-    def hat(self, g: np.ndarray) -> np.ndarray:
-        """Nodal values (a vector or columns) to hat coordinates."""
-        return (self.sqrt_w * np.asarray(g).T).T
-
-    def unhat(self, g_hat: np.ndarray) -> np.ndarray:
-        return (np.asarray(g_hat).T / self.sqrt_w).T
 
     def project_mean_free(self, g: np.ndarray) -> np.ndarray:
         """Remove the weighted mean from nodal values."""
@@ -106,8 +93,9 @@ class SceneOperators:
     # -- operator actions -----------------------------------------------------
 
     def potential_trace(self, g: np.ndarray) -> np.ndarray:
-        """Trace of the single-layer potential of ``g`` on the inclusion."""
-        return -(self.s_plain @ g)
+        """Trace of the single-layer potential of ``g`` (a vector or
+        columns) on the inclusion."""
+        return -((self.energy_matrix @ g).T / self.curve.weights).T
 
     def side_flux(self, g: np.ndarray, side: int) -> np.ndarray:
         """One-sided normal derivative of the potential on the inclusion:
@@ -123,7 +111,7 @@ class SceneOperators:
 
     def energy(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         """``(g | S h)`` of nodal values (vectors or columns of each)."""
-        return self.hat(g).T @ (self.s_hat @ self.hat(h))
+        return np.asarray(g).T @ (self.energy_matrix @ h)
 
     def energy_norm2(self, g: np.ndarray) -> float:
         """``(g | S g)`` = full-domain gradient energy of the potential."""
@@ -165,15 +153,14 @@ class SceneOperators:
     @cached_property
     def pencil(self) -> tuple[np.ndarray, np.ndarray]:
         """``(mu, G)``: eigenvalues and nodal eigendensities of ``K*`` on
-        mean-free densities, from ``S K* y = mu S y`` (symmetrized) on all
-        hat coordinates less its top pair, the equilibrium ``mu = 1/2``;
-        ``G = unhat(Y)`` is ``S``-orthonormal and weighted-mean-free:
-        ``r = G energy(G, r)`` for mean-free ``r``."""
-        a = self.s_hat @ self.kstar_hat
+        mean-free densities, from ``sym(E K*) g = mu E g`` on all nodal
+        values less its top pair, the equilibrium ``mu = 1/2``; ``G`` is
+        ``E``-orthonormal and weighted-mean-free: ``r = G energy(G, r)``
+        for mean-free ``r``."""
+        a = self.energy_matrix @ self.kstar_plain
         a = 0.5 * (a + a.T)  # exactly symmetric: its F-ordered view is overwritten
-        mu, y = scipy.linalg.eigh(a.T, self.s_hat, overwrite_a=True)
-        y /= self.sqrt_w[:, None]  # unhat in place
-        return mu[:-1], y[:, :-1]
+        mu, g = scipy.linalg.eigh(a.T, self.energy_matrix, overwrite_a=True)
+        return mu[:-1], g[:, :-1]
 
     @property
     def background_maps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -188,26 +175,22 @@ def build_scene_operators(scene: InclusionScene, green=None) -> SceneOperators:
     green = green or make_green(scene.outer)
     curve = scene.inclusion
     w = curve.weights
-    sqrt_w = np.sqrt(w)
 
-    s_plain, kstar_plain = free_self_matrices(curve)
+    energy, kstar_plain = free_self_matrices(curve)
     corr, dnu_corr, outer_blocks = green.inclusion_blocks(curve)
     defect = float(np.max(np.abs(corr - corr.T)))
     if defect > 1e-9:
         log.warning("kernel correction asymmetry %.3e; symmetrizing", defect)
-    s_plain += 0.5 * (corr + corr.T) * w
-    s_plain *= -1.0
+    energy += 0.5 * (corr + corr.T) * w
+    energy *= -w[:, None]  # the energy sign, and W
     kstar_plain += dnu_corr * w
     del corr, dnu_corr
 
-    s_hat = sqrt_w[:, None] * s_plain / sqrt_w[None, :]
-    s_hat = 0.5 * (s_hat + s_hat.T)  # symmetric up to roundoff by construction
-    kstar_hat = sqrt_w[:, None] * kstar_plain / sqrt_w[None, :]
-
     return SceneOperators(
-        scene=scene, green=green, s_plain=s_plain, kstar_plain=kstar_plain,
-        s_hat=s_hat, kstar_hat=kstar_hat, sqrt_w=sqrt_w,
-        correction_defect=defect, outer_blocks=outer_blocks,
+        scene=scene, green=green,
+        energy_matrix=0.5 * (energy + energy.T),  # symmetric up to roundoff
+        kstar_plain=kstar_plain, correction_defect=defect,
+        outer_blocks=outer_blocks,
     )
 
 

@@ -1,11 +1,11 @@
 """Spectral decomposition of the flux-average operator in the energy
 geometry.
 
-The flux-average operator ``K*`` is self-adjoint with respect to the
-positive-definite energy form ``S``, so ``K* g = mu g`` is a
-symmetric-definite pencil.  ``SceneOperators.pencil`` solves it on all
-densities and drops the equilibrium pair ``mu = 1/2``; the other,
-mean-free eigendensities are ``S``-orthonormal (their potentials have
+The flux-average operator ``K*`` is self-adjoint in the energy form, the
+operator set's matrix ``E``, so ``K* g = mu g`` is the symmetric-definite
+pencil ``sym(E K*) g = mu E g``.  ``SceneOperators.pencil`` solves it on
+all nodal values and drops the equilibrium pair ``mu = 1/2``; the other,
+mean-free eigendensities are ``E``-orthonormal (their potentials have
 unit gradient energy), and each carries the spectral value in two forms:
 the operator eigenvalue ``mu`` and the energy ratio ``lambda = -2 mu``,
 which equals the Rayleigh quotient of the interior-minus-exterior energy
@@ -134,8 +134,8 @@ def solve_spectrum(ops: SceneOperators, n_modes: int | None = None) -> NPSpectru
     idx = [i for _, _, i in kept]
     g = _fix_sign(g_all[:, idx])
     # residuals K* G - G diag(mu) as one block; energies in one more product
-    resid = ops.hat(ops.flux_average(g) - g * mu_vals[idx])
-    resid = np.sum(resid * (ops.s_hat @ resid), axis=0)
+    resid = ops.flux_average(g) - g * mu_vals[idx]
+    resid = np.sum(resid * (ops.energy_matrix @ resid), axis=0)
     modes = [SpectralMode(index=rank, family=fam, mu=float(mu_vals[i]),
                           lam=float(lam_vals[i]), density=g[:, c].copy(),
                           residual=float(np.sqrt(max(resid[c], 0.0))))

@@ -344,9 +344,9 @@ def solve_limit(ops: SceneOperators, f: np.ndarray, kind: str,
 
     Both solve ``S psi = v + c`` (``v`` the driving field's inclusion
     trace) for a mean-free ``psi`` and a constant ``c``, the grounded
-    ``alpha``: the eigendensities ``G`` are ``S``-orthonormal and span the
-    mean-free densities, so ``psi = G G^T (w v)`` with ``w`` the
-    quadrature weights, plus one refinement step against ``S``.
+    ``alpha``: the eigendensities ``G`` are ``E``-orthonormal and span the
+    mean-free densities, so ``psi = G G^T (w v)`` with ``w`` the weights,
+    refined by ``G G^T (w v - E psi)``; ``alpha = (sum(E psi) - w.v)/|bd D|``.
     """
     if kind not in ("grounded", "conductor"):
         raise ValueError(f"unknown limit kind {kind!r}")
@@ -365,9 +365,11 @@ def solve_limit(ops: SceneOperators, f: np.ndarray, kind: str,
         v = v + beta * ops.green.kernel(curve.nodes, [curve.center])[:, 0]
 
     _, g = ops.pencil
-    psi = g @ (g.T @ (curve.weights * v))
-    psi = psi + g @ (g.T @ (curve.weights * (v - ops.s_plain @ psi)))
-    alpha = curve.mean(ops.s_plain @ psi - v) if kind == "grounded" else 0.0
+    wv = curve.weights * v
+    psi = g @ (g.T @ wv)
+    psi = psi + g @ (g.T @ (wv - ops.energy_matrix @ psi))
+    alpha = float(np.sum(ops.energy_matrix @ psi) - np.sum(wv)) \
+        / curve.length() if kind == "grounded" else 0.0
 
     raw_trace = background.trace + ops.outer_trace(psi) \
         + (beta * ops.green.outer_trace_kernel([curve.center])[:, 0]
@@ -595,9 +597,8 @@ def expansion_coefficients(ops: SceneOperators, spectrum: NPSpectrum,
 
     densities = np.column_stack([m.density for m in modes])
 
-    # limit flux moment against the mode potential traces
-    traces = ops.potential_trace(densities)
-    b = traces.T @ (ops.curve.weights * limit.exterior_flux())
+    # limit flux moment against the mode potential traces -(E w_j) / w
+    b = -ops.energy(densities, limit.exterior_flux())
 
     a_system = k0 * b / ((k - k0) * (0.5 - spectrum.mus) + k0)
 

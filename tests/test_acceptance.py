@@ -38,7 +38,7 @@ from npeit.transmission import (derivative_ladder, derivative_norm_ratios,
                                 expansion_coefficients, solve_transmission,
                                 taylor_outer_trace, trace_distance)
 
-from references import mean_free_basis
+from references import HatForms, mean_free_basis
 
 
 def _finish(num, name, t0, budget, failures):
@@ -105,12 +105,13 @@ def test_03_symmetrization_and_definiteness():
          1e-6),
     ]:
         ops = build_scene_operators(scene)
-        defect = np.max(np.abs(ops.s_hat @ ops.kstar_hat
-                               - ops.kstar_hat.T @ ops.s_hat))
+        hf = HatForms(ops)
+        defect = np.max(np.abs(hf.s_hat @ hf.kstar_hat
+                               - hf.kstar_hat.T @ hf.s_hat))
         if defect > tol:
             failures.append(f"{label} symmetrization defect {defect:.3g} "
                             f"> {tol:g}")
-        projected = mean_free_basis(ops).T @ (ops.s_hat @ mean_free_basis(ops))
+        projected = mean_free_basis(ops).T @ (hf.s_hat @ mean_free_basis(ops))
         rayleigh = float(np.linalg.eigvalsh(projected).min())
         if rayleigh < -1e-10:
             failures.append(f"{label} min Rayleigh {rayleigh:.3g} < -1e-10")

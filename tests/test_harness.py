@@ -66,6 +66,8 @@ radius = 0.4
 offsets = 0.02 0.05 0.1
 """
 
+#: boundary data whose mean-free part is zero
+CONSTANT_DATA = ["const:1", "cos:1:0", "const:2 sin:3:0", "cos:1:1 cos:1:-1"]
 
 REPO = Path(__file__).resolve().parents[1]
 #: modules of the solver stack, which config parsing must not load
@@ -457,8 +459,7 @@ n_modes = 6
 def fresh_gram(modes, ops):
     """The energy Gram matrix of ``modes`` evaluated afresh on ``ops``."""
     g = np.column_stack([m.density for m in modes])
-    g_hat = ops.sqrt_w[:, None] * g
-    return g_hat.T @ (ops.s_hat @ g_hat)
+    return g.T @ (ops.energy_matrix @ g)
 
 
 @pytest.fixture
@@ -802,6 +803,32 @@ dir = {tmp_path / "nested" / "results"}
         assert "[sweep]" in err and f"ratio = {float(ratio)!r}" in err
         assert "base = 1.0" in err and "count = 3" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "expand", "stability"])
+    @pytest.mark.parametrize("data", CONSTANT_DATA)
+    def test_data_without_mean_free_part_exit_two(self, tmp_path, capsys,
+                                                  command, data):
+        # sweep used to exit 3 on grad_ratio = 0/0; expand and stability
+        # exited 0 with all-zero rows
+        cfg = write_cfg(tmp_path, TANGENT_LADDER + f"[physics]\nf = {data}\n")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[physics] f = " in err and "no mean-free part" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, artifact", [
+        ("spectrum", "spectrum.csv"), ("oracle-check", "oracle.csv")])
+    @pytest.mark.parametrize("data", CONSTANT_DATA)
+    def test_constant_data_is_not_read_without_a_solve(self, tmp_path,
+                                                       command, artifact,
+                                                       data):
+        cfg = write_cfg(tmp_path, TANGENT_LADDER + f"[physics]\nf = {data}\n")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        assert (out / artifact).exists()
 
     def test_config_error_exits_before_scipy_loads(self, tmp_path):
         cfg = write_cfg(tmp_path, "[scene]\nbogus = 1\n")

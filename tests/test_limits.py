@@ -29,6 +29,8 @@ from npeit.green import DiskGreen, NumericGreen
 from npeit.layers import build_scene_operators
 from npeit.transmission import solve_limit, solve_transmission, trace_constant
 
+from references import HatForms
+
 N = 128
 TRACE_RTOL = 1e-14
 PSI_RTOL = 1e-11
@@ -54,7 +56,7 @@ def bordered_limit(ops, lim, kind):
     if lim.beta != 0.0:
         v = v + lim.beta * ops.green.kernel(curve.nodes, [curve.center])[:, 0]
     system = np.zeros((n + 1, n + 1))
-    system[:n, :n] = -ops.s_plain
+    system[:n, :n] = -HatForms(ops).s_plain
     system[:n, n] = 1.0 if kind == "grounded" else -1.0
     system[n, :n] = curve.weights
     rhs = np.zeros(n + 1)

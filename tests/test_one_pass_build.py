@@ -3,8 +3,8 @@
 ``build_scene_operators`` forms one displacement table per curve and one
 outer x inclusion table per scene, and asks the outer kernel for the
 inclusion's blocks in one call.  Pinned behavior:
-  * ``s_plain``, ``kstar_plain``, ``outer_trace_matrix`` and
-    ``background_maps`` agree with the per-point kernel API (``correction``,
+  * the single-layer matrix (``E / w`` by rows), ``kstar_plain``,
+    ``outer_trace_matrix`` and ``background_maps`` agree with the per-point kernel API (``correction``,
     ``correction_gradient_x`` contracted with the normals,
     ``outer_trace_kernel``, ``free_single_layer_eval`` and
     ``free_single_layer_gradient``) to 1e-13 relative, on both kernels, on
@@ -13,9 +13,14 @@ inclusion's blocks in one call.  Pinned behavior:
   * the work counts on ``NumericGreen``: one domain guard, one Neumann
     solve with the inclusion's n columns, and two pair tables (the
     inclusion's own and the outer x inclusion one);
+  * the outer x inclusion table is released before that solve, which
+    then holds three outer x inclusion arrays (values, flux and the
+    Neumann data);
   * the kernel keeps nothing per inclusion: a stability run on an ellipse
     outer leaves no inclusion node set in it.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,7 +59,8 @@ def per_point_operators(green, curve):
 
 def built_operators(ops):
     values, flux = ops.background_maps
-    return {"s_plain": ops.s_plain, "kstar_plain": ops.kstar_plain,
+    w = ops.curve.weights[:, None]
+    return {"s_plain": ops.energy_matrix / w, "kstar_plain": ops.kstar_plain,
             "outer_trace_matrix": ops.outer_trace_matrix,
             "values_map": values, "flux_map": flux}
 
@@ -110,6 +116,33 @@ def test_numeric_build_work_counts(monkeypatch):
     ops.outer_trace_matrix, ops.background_maps  # from the build's table
     assert solves == [(outer.n, INCLUSION.n)]
     assert counts == {"guard": 1, "table": 2}
+
+
+def test_neumann_solve_holds_no_outer_table(monkeypatch):
+    outer = OUTERS["ellipse"]
+    started, held = [], []
+    outer_maps, solve = NumericGreen.outer_maps, InteriorNeumannSolver.solve
+
+    def recording_maps(self, curve):
+        started.append(tracemalloc.get_traced_memory()[0])
+        return outer_maps(self, curve)
+
+    def recording_solve(self, flux):
+        held.append(tracemalloc.get_traced_memory()[0] - started[-1])
+        return solve(self, flux)
+
+    green = NumericGreen(outer)
+    monkeypatch.setattr(NumericGreen, "outer_maps", recording_maps)
+    monkeypatch.setattr(InteriorNeumannSolver, "solve", recording_solve)
+    tracemalloc.start()
+    try:
+        green.inclusion_blocks(INCLUSION)
+    finally:
+        tracemalloc.stop()
+    # values, flux and the Neumann data; the (N, n, 2) displacements and
+    # the distance table would add three more
+    assert len(held) == 1
+    assert held[0] <= 3.5 * outer.n * INCLUSION.n * 8
 
 
 def test_disk_build_forms_the_outer_table_on_first_use(monkeypatch):

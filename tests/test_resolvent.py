@@ -1,9 +1,10 @@
 """The spectral resolvent behind every second-kind solve.
 
 ``(lam - K*)^{-1}`` on mean-free densities is applied as
-``Y diag(1/(lam - mu)) Y^T B`` from the one generalized eigendecomposition
-cached per operator set, plus one refinement step against the reduced
-operator.  Pinned here:
+``G diag(1/(lam - mu)) G^T E r`` (``r`` the mean-free part of the
+right-hand side) from the nodal eigendensities ``G`` of the one
+generalized eigendecomposition cached per operator set, plus one
+refinement step that expands the residual the same way.  Pinned here:
 
 * it matches a direct dense solve of the reduced system to 1e-12
   relative, for vectors and blocks, on non-concentric scenes with the
@@ -27,7 +28,7 @@ from npeit.transmission import (_solve_second_kind, derivative_ladder,
                                 expansion_coefficients, solve_transmission,
                                 trace_constant)
 
-from references import mean_free_basis
+from references import HatForms, mean_free_basis
 
 LAMBDAS = (-0.5, 0.6, 5.0, 0.5 + 1e-6)
 
@@ -45,10 +46,10 @@ def scene_ops(request):
 
 
 def direct_solve(ops, lam, rhs):
-    p = mean_free_basis(ops)
-    reduced = lam * np.eye(p.shape[1]) - p.T @ ops.kstar_hat @ p
-    sol = scipy.linalg.solve(reduced, p.T @ ops.hat(rhs))
-    return ops.unhat(p @ sol)
+    p, hf = mean_free_basis(ops), HatForms(ops)
+    reduced = lam * np.eye(p.shape[1]) - p.T @ hf.kstar_hat @ p
+    sol = scipy.linalg.solve(reduced, p.T @ hf.hat(rhs))
+    return hf.unhat(p @ sol)
 
 
 def rel_err(a, b):
@@ -87,10 +88,10 @@ class TestResolventMatchesDirectSolve:
         # refinement step brings it down to roundoff
         rng = np.random.default_rng(5)
         rhs = rng.standard_normal(scene_ops.curve.n)
-        p = mean_free_basis(scene_ops)
-        x = p.T @ scene_ops.hat(_solve_second_kind(scene_ops, lam, rhs))
-        r = p.T @ scene_ops.hat(rhs)
-        resid = r - (lam * x - (p.T @ scene_ops.kstar_hat @ p) @ x)
+        p, hf = mean_free_basis(scene_ops), HatForms(scene_ops)
+        x = p.T @ hf.hat(_solve_second_kind(scene_ops, lam, rhs))
+        r = p.T @ hf.hat(rhs)
+        resid = r - (lam * x - (p.T @ hf.kstar_hat @ p) @ x)
         assert np.linalg.norm(resid) <= 1e-15 * np.linalg.norm(r)
 
     def test_transmission_density(self, scene_ops):

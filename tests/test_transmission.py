@@ -47,6 +47,8 @@ from npeit.transmission import (
     trace_distance,
 )
 
+from references import HatForms
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -386,9 +388,9 @@ def galerkin_coefficients(ops, spectrum, b, k):
     ``((k - k0) (E + D)/2 + k0 I) a = k0 b`` with the energy Gram ``E``
     and the difference form ``D`` of the mode densities."""
     k0 = ops.scene.k0
-    dens_hat = ops.sqrt_w[:, None] * np.column_stack(
-        [m.density for m in spectrum.modes])
-    d = -2.0 * dens_hat.T @ (ops.kstar_hat.T @ (ops.s_hat @ dens_hat))
+    hf = HatForms(ops)
+    dens_hat = hf.hat(np.column_stack([m.density for m in spectrum.modes]))
+    d = -2.0 * dens_hat.T @ (hf.kstar_hat.T @ (hf.s_hat @ dens_hat))
     g = 0.5 * (spectrum.gram() + d)
     g = 0.5 * (g + g.T)
     return np.linalg.solve((k - k0) * g + k0 * np.eye(len(b)), k0 * b)
