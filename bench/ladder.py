@@ -1,7 +1,7 @@
 """Time one 64-point conductivity ladder sweep at several node counts.
 
 Each measurement is one ``run_sweep`` call on an off-centre star inclusion
-in the unit disk: operator build, the ladder, the three limits, the trace
+in the unit disk: operator build, the ladder, the two limits, the trace
 constant and the CSV.  The script uses the stdlib clock only and writes
 the medians, the repeat count, the machine and the library versions to a
 JSON record::

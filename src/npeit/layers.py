@@ -151,16 +151,25 @@ class SceneOperators:
         return self._outer[2]
 
     @cached_property
-    def pencil(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(mu, G)``: eigenvalues and nodal eigendensities of ``K*`` on
-        mean-free densities, from ``sym(E K*) g = mu E g`` on all nodal
-        values less its top pair, the equilibrium ``mu = 1/2``; ``G`` is
-        ``E``-orthonormal and weighted-mean-free: ``r = G energy(G, r)``
-        for mean-free ``r``."""
+    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        # all pairs of sym(E K*) g = mu E g on nodal values, ascending
         a = self.energy_matrix @ self.kstar_plain
         a = 0.5 * (a + a.T)  # exactly symmetric: its F-ordered view is overwritten
-        mu, g = scipy.linalg.eigh(a.T, self.energy_matrix, overwrite_a=True)
-        return mu[:-1], g[:, :-1]
+        return scipy.linalg.eigh(a.T, self.energy_matrix, overwrite_a=True)
+
+    @cached_property
+    def pencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(mu, G)``: eigenvalues and nodal eigendensities of ``K*`` on
+        mean-free densities, the pencil's pairs less its top one, the
+        equilibrium ``mu = 1/2``; ``G`` is ``E``-orthonormal and
+        weighted-mean-free: ``r = G energy(G, r)`` for mean-free ``r``."""
+        return self._eigenpairs[0][:-1], self._eigenpairs[1][:, :-1]
+
+    @property
+    def equilibrium(self) -> np.ndarray:
+        """The top eigendensity, ``mu = 1/2``: constant potential on the
+        inclusion, ``E``-orthogonal to ``G``."""
+        return self._eigenpairs[1][:, -1]
 
     @property
     def background_maps(self) -> tuple[np.ndarray, np.ndarray]:

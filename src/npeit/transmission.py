@@ -10,15 +10,13 @@ the inclusion boundary:
     ``lambda = (k + k0) / (2 (k - k0))``,
 
 with ``u0`` the inclusion-free background.  Because ``|lambda| > 1/2``
-for every positive contrast while ``K*`` has spectral radius below 1/2
-on mean-free densities, the solve is uniformly well posed; it is the
-expansion in the cached eigendensities of ``K*``.
-
-Two infinite-contrast limits are solved on the same eigendensities: the
-grounded limit (zero trace on the inclusion, arbitrary total input flux)
-and the conductor limit (constant trace, flux-free inclusion, mean-free
-data); for mean-free data they differ by a constant.  On top of the
-solves sit diagnostics used by the experiments: weighted trace
+for every positive contrast while every eigenvalue of ``K*`` on mean-free
+densities is inside ``(-1/2, 1/2)``, the solve is well posed, and so is
+its ``k -> infinity`` end at ``lambda = 1/2``: the grounded limit (zero
+trace on the inclusion, arbitrary net flux) and the conductor limit
+(constant trace, flux-free inclusion), which differ by a constant for
+mean-free data.  Every solve is the expansion in the cached
+eigendensities of ``K*``.  On top sit diagnostics: weighted trace
 distances, gradient energies via boundary identities, an a priori
 gradient bound with a computable trace constant, the ladder of
 conductivity derivatives, and the expansion of the solution in the
@@ -58,8 +56,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# margin (in units of |lambda| - 1/2) below which the second-kind solve
-# is flagged as nearly resonant
+# distance min_j |lambda - mu_j| to the spectrum of K* below which a
+# second-kind solve is flagged as nearly resonant
 _RESONANCE_MARGIN = 1e-6
 
 
@@ -195,10 +193,14 @@ class TransmissionSolution:
                        c0: float) -> "GradientBound":
         """:func:`gradient_bound` of this solution against a flux-free
         ``limit`` of its data (the conductor limit, or the grounded limit
-        of the mean-free data), with trace constant ``c0``."""
+        of the mean-free data), with trace constant ``c0``.  ValueError if
+        the data has no mean-free part: the bound is then ``0 / 0``."""
         if limit.beta != 0.0:
             raise ValueError("gradient bound needs a limit with zero net "
                              "flux (conductor, or grounded on mean-free data)")
+        size = np.max(np.abs(self.background.f), axis=0)
+        if np.any(size <= 1e-13 * (size + np.abs(self.removed_mean))):
+            raise ValueError("gradient bound needs data with a mean-free part")
         scene, k, k0 = self.scene, np.asarray(self.k), self.scene.k0
         w_d = scene.inclusion.weights
         tr_u = self.inclusion_trace()
@@ -249,10 +251,6 @@ def solve_transmission(ops: SceneOperators, f: np.ndarray,
         raise ValueError("a ladder of conductivities takes one load vector")
     background = solve_background(ops, f)
     lam = contrast_parameter(k, ops.scene.k0)
-    for value in np.extract(np.abs(lam) - 0.5 < _RESONANCE_MARGIN, lam):
-        log.warning("contrast parameter %.12g is within %.1e of the "
-                    "essential spectrum edge 1/2; the solve may lose "
-                    "accuracy", value, _RESONANCE_MARGIN)
     live = np.isfinite(lam)  # k = k0 leaves the background as it is
     phi = _solve_second_kind(ops, np.where(live, lam, 1.0), background.flux)
     return TransmissionSolution(ops=ops, k=np.asarray(k, dtype=float)[()],
@@ -270,9 +268,14 @@ def _solve_second_kind(ops: SceneOperators, lam,
     accuracy; one refinement step on the residual removes the defect."""
     mu, g = ops.pencil
     lams = np.reshape(lam, -1)
-    if np.any(mu[:, None] == lams):  # pragma: no cover
+    gap = lams - mu[:, None]
+    for j in np.flatnonzero(np.min(np.abs(gap), axis=0) < _RESONANCE_MARGIN):
+        log.warning("lambda %.12g is within %.1e of the eigenvalue %.12g of "
+                    "K*; the solve may lose accuracy", lams[j],
+                    _RESONANCE_MARGIN, mu[np.argmin(np.abs(gap[:, j]))])
+    if np.any(gap == 0.0):  # pragma: no cover
         raise SolverError(f"second-kind solve failed at lambda={lam}")
-    scale = 1.0 / (lams - mu[:, None])
+    scale = 1.0 / gap
     mean = ops.curve.mean
     rhs = np.reshape(rhs_plain, (len(g), -1))
     phi = g @ (scale * ops.energy(g, rhs - mean(rhs)))
@@ -290,12 +293,11 @@ def _solve_second_kind(ops: SceneOperators, lam,
 class LimitSolution:
     """Infinite-contrast solution (grounded or conductor inclusion).
 
-    The unnormalized field is ``u0(h) + beta N(., y_c) + (single layer
-    of psi) + alpha`` where ``h`` is the mean-free part of ``f``,
-    ``beta`` the total input flux over ``k0`` (zero in the conductor
-    case), ``y_c`` the inclusion center, and ``alpha`` a constant (zero
-    in the conductor case).  The stored ``trace`` is zero-mean on the
-    outer boundary (``outer_mean`` was subtracted).
+    The unnormalized field is ``u0(h) + (single layer of psi) + alpha``
+    with ``h`` the mean-free part of ``f``, ``alpha`` a constant and
+    ``w . psi = beta`` the total input flux over ``k0`` (both zero in the
+    conductor case).  The stored ``trace`` is zero-mean on the outer
+    boundary (``outer_mean`` was subtracted).
     """
 
     ops: SceneOperators
@@ -308,16 +310,12 @@ class LimitSolution:
 
     def evaluate(self, points) -> np.ndarray:
         """Values in the region between the curves (normalized)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = self.background.evaluate(pts) \
-            + self.ops.potential(self.psi).evaluate(pts)
-        if self.beta != 0.0:
-            center = self.ops.curve.center
-            vals += self.beta * self.ops.green.kernel(pts, [center])[:, 0]
-        return vals + self.alpha - self.outer_mean
+        return self.background.evaluate(points) \
+            + self.ops.potential(self.psi).evaluate(points) \
+            + self.alpha - self.outer_mean
 
     def exterior_flux(self) -> np.ndarray:
-        """Exterior flux on the inclusion, ``beta`` source term excluded."""
+        """Exterior flux on the inclusion, net flux included."""
         return self.background.flux + self.ops.side_flux(self.psi, +1)
 
     def annulus_gradient_energy(self) -> float:
@@ -338,42 +336,34 @@ def solve_limit(ops: SceneOperators, f: np.ndarray, kind: str,
     """Solve an infinite-contrast limit problem.
 
     ``kind = 'grounded'``: zero trace on the inclusion; ``f`` may carry
-    net flux (absorbed by a source term at the inclusion center).
+    net flux, which the density ``psi`` carries into the inclusion.
     ``kind = 'conductor'``: constant trace and flux-free inclusion; the
     mean-free part of ``f`` is used.  ``background``: ``f``'s, if solved.
 
-    Both solve ``S psi = v + c`` (``v`` the driving field's inclusion
-    trace) for a mean-free ``psi`` and a constant ``c``, the grounded
-    ``alpha``: the eigendensities ``G`` are ``E``-orthonormal and span the
-    mean-free densities, so ``psi = G G^T (w v)`` with ``w`` the weights,
-    refined by ``G G^T (w v - E psi)``; ``alpha = (sum(E psi) - w.v)/|bd D|``.
+    Both are the ``k -> infinity`` resolvent: ``(1/2 - K*) psi = d/dnu u0``
+    on mean-free ``psi``, so zero interior flux and a constant interior
+    potential.  Net flux adds ``beta g_eq / (w . g_eq)``, ``g_eq`` the
+    equilibrium density (constant potential on the inclusion); ``alpha``
+    is minus the weighted mean of the grounded inclusion trace.
     """
     if kind not in ("grounded", "conductor"):
         raise ValueError(f"unknown limit kind {kind!r}")
-    scene = ops.scene
-    outer, curve = scene.outer, scene.inclusion
+    outer, curve = ops.scene.outer, ops.curve
     f = np.asarray(f, dtype=float)
     total = float(outer.weights @ f)
     if abs(total) <= 1e-12 * max(1.0, float(np.max(np.abs(f), initial=0.0))):
         total = 0.0
     if background is None:
         background = solve_background(ops, f)
-    beta = total / scene.k0 if kind == "grounded" else 0.0
+    beta = total / ops.scene.k0 if kind == "grounded" else 0.0
 
-    v = background.values
+    psi = _solve_second_kind(ops, 0.5, background.flux)
     if beta != 0.0:
-        v = v + beta * ops.green.kernel(curve.nodes, [curve.center])[:, 0]
+        psi += beta / float(curve.weights @ ops.equilibrium) * ops.equilibrium
+    alpha = -float(curve.mean(background.values + ops.potential_trace(psi))) \
+        if kind == "grounded" else 0.0
 
-    _, g = ops.pencil
-    wv = curve.weights * v
-    psi = g @ (g.T @ wv)
-    psi = psi + g @ (g.T @ (wv - ops.energy_matrix @ psi))
-    alpha = float(np.sum(ops.energy_matrix @ psi) - np.sum(wv)) \
-        / curve.length() if kind == "grounded" else 0.0
-
-    raw_trace = background.trace + ops.outer_trace(psi) \
-        + (beta * ops.green.outer_trace_kernel([curve.center])[:, 0]
-           if beta != 0.0 else 0.0) + alpha
+    raw_trace = background.trace + ops.outer_trace(psi) + alpha
     mean = float(outer.mean(raw_trace))
     return LimitSolution(ops=ops, background=background, beta=beta, psi=psi,
                          alpha=alpha, outer_mean=mean, trace=raw_trace - mean)

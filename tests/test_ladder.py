@@ -13,7 +13,9 @@ point.  Pinned here:
 * the gradient-bound ratio uses the inclusion flux ``k0/(k - k0) phi``,
   so per-point and batched values agree to 2e-12 up to ``k = 4096``;
 * a 64-point sweep makes two interior Neumann solves (the data and the
-  trace constant's loads) and two second-kind solves, not one per point.
+  trace constant's loads) and four second-kind solves, not one per point:
+  the ladder block, one ``lam = 1/2`` solve per limit and the trace
+  constant's ``lam = -1/2``.
 """
 
 from pathlib import Path
@@ -182,5 +184,6 @@ count = 64
         result = run_sweep(parse_config(self.SWEEP), tmp_path)
         assert len(result.ks) == 64
         assert len(neumann) <= 2
-        # the ladder as one block, then the trace constant's lam = -1/2
-        assert second_kind == [(64,), ()]
+        # the ladder as one block, one lam = 1/2 solve per limit, then the
+        # trace constant's lam = -1/2
+        assert second_kind == [(64,), (), (), ()]

@@ -2,19 +2,30 @@
 sweep spends on them.
 
 The reference is the first-kind system for the limit density ``psi`` and
-its constant, bordered by the mean-free constraint and solved densely::
+its constant, bordered by the net-flux constraint and solved densely::
 
-    [ -S    sign ] [ psi ]   [ -v ]
-    [ w^T    0   ] [  c  ] = [  0 ]
+    [ -S    sign ] [ psi ]   [ -v   ]
+    [ w^T    0   ] [  c  ] = [ beta ]
 
-with ``v`` the inclusion trace of the driving field, ``sign = +1`` for
-the grounded inclusion (``c`` is the additive constant of the field) and
-``-1`` for the conductor (``c`` is its trace on the inclusion, dropped by
-the normalization).  ``solve_limit`` solves the same problem on the
-cached pencil of the operator set.  Measured deviations at n = 64 to 512
-(star in a disk and in an ellipse, both kinds, mean-free and net-flux
-data, 1 and 2 BLAS threads): at most 7.6e-16 relative in the traces,
-5.2e-13 in ``psi`` and 6.7e-16 in ``alpha``.
+with ``v`` the inclusion trace of the driving field, ``beta`` the net
+flux over ``k0`` (zero for the conductor and for mean-free data),
+``sign = +1`` for the grounded inclusion (``c`` is the additive constant
+of the field) and ``-1`` for the conductor (``c`` is its trace on the
+inclusion, dropped by the normalization).  ``solve_limit`` solves the
+second-kind problem at ``lambda = 1/2`` on the cached pencil of the
+operator set instead, so the two agree to discretization accuracy.  A
+second, independent oracle for the grounded trace puts the net flux in a
+point source at the inclusion centre and keeps ``psi`` mean-free.
+Measured deviations at n = 128 to 512 (star in a disk and in an ellipse,
+both kinds, mean-free and net-flux data, 1 and 2 BLAS threads): at most
+7.6e-16 relative in the traces, 4.1e-12 in ``psi`` and 5.7e-16 in
+``alpha``; the centre-source oracle, 9.5e-16 in the trace and 5.7e-16 in
+``alpha``.  At n = 64 the two discretizations differ by 3.1e-14 in the
+traces and 3.1e-9 in ``psi``, so the tests run at n = 128.
+
+A sweep on the numeric kernel with net-flux data evaluates no kernel at
+points: the grounded limit's net flux is carried by the equilibrium
+density, not by a point source.
 """
 
 import numpy as np
@@ -47,38 +58,55 @@ def star_ops(request):
     return ops
 
 
-def bordered_limit(ops, lim, kind):
+def bordered_limit(ops, lim, kind, centre_source=False):
     """``(psi, alpha, trace)`` of the bordered reference system for the
-    driving field and net flux ``beta`` of ``lim``."""
+    driving field and net flux ``beta`` of ``lim``: ``psi`` carries the
+    net flux, or with ``centre_source`` it is mean-free and a point source
+    ``beta N(., y_c)`` at the inclusion centre carries it."""
     curve = ops.curve
     n = curve.n
+    beta = 0.0 if centre_source else lim.beta
     v = lim.background.values
-    if lim.beta != 0.0:
+    if centre_source:
         v = v + lim.beta * ops.green.kernel(curve.nodes, [curve.center])[:, 0]
     system = np.zeros((n + 1, n + 1))
     system[:n, :n] = -HatForms(ops).s_plain
     system[:n, n] = 1.0 if kind == "grounded" else -1.0
     system[n, :n] = curve.weights
     rhs = np.zeros(n + 1)
-    rhs[:n] = -v
+    rhs[:n], rhs[n] = -v, beta
     sol = np.linalg.solve(system, rhs)
     psi, alpha = sol[:n], (float(sol[n]) if kind == "grounded" else 0.0)
     raw = lim.background.trace + ops.outer_trace(psi) + alpha
-    if lim.beta != 0.0:
+    if centre_source:
         raw = raw + lim.beta * ops.green.outer_trace_kernel([curve.center])[:, 0]
     return psi, alpha, raw - ops.scene.outer.mean(raw)
+
+
+def limit_data(ops, net):
+    t = ops.scene.outer.t
+    return net + np.cos(t) + 0.4 * np.sin(2 * t)
 
 
 @pytest.mark.parametrize("net", [0.0, 0.7], ids=["mean-free", "net-flux"])
 @pytest.mark.parametrize("kind", ["grounded", "conductor"])
 def test_pencil_limit_matches_bordered_reference(star_ops, kind, net):
-    t = star_ops.scene.outer.t
-    lim = solve_limit(star_ops, net + np.cos(t) + 0.4 * np.sin(2 * t), kind)
+    lim = solve_limit(star_ops, limit_data(star_ops, net), kind)
     assert (lim.beta != 0.0) == (kind == "grounded" and net != 0.0)
     psi, alpha, trace = bordered_limit(star_ops, lim, kind)
     scale = np.max(np.abs(trace))
     assert np.max(np.abs(lim.trace - trace)) <= TRACE_RTOL * scale
     assert np.max(np.abs(lim.psi - psi)) <= PSI_RTOL * np.max(np.abs(psi))
+    assert abs(lim.alpha - alpha) <= TRACE_RTOL * scale
+
+
+def test_grounded_net_flux_matches_centre_source(star_ops):
+    lim = solve_limit(star_ops, limit_data(star_ops, 0.7), "grounded")
+    assert lim.beta != 0.0
+    _, alpha, trace = bordered_limit(star_ops, lim, "grounded",
+                                     centre_source=True)
+    scale = np.max(np.abs(trace))
+    assert np.max(np.abs(lim.trace - trace)) <= TRACE_RTOL * scale
     assert abs(lim.alpha - alpha) <= TRACE_RTOL * scale
 
 
@@ -134,3 +162,17 @@ def test_sweep_makes_two_limit_solves_on_one_pencil(tmp_path, monkeypatch):
     assert mean_free.beta == 0.0
     expected = sol.gradient_bound(mean_free, trace_constant(ops)).ratio
     np.testing.assert_allclose(result.grad_ratio, expected, rtol=1e-13, atol=0)
+
+
+def test_numeric_kernel_sweep_makes_no_point_solves(tmp_path, monkeypatch):
+    # net-flux data on an ellipse: no limit evaluates the kernel at points
+    config = parse_config(NET_FLUX_SWEEP.replace("circle 0 0 1",
+                                                 "ellipse 0 0 1.2 0.9"))
+
+    def point_solve(*args, **kwargs):
+        raise AssertionError("per-point kernel evaluation during a sweep")
+
+    for name in ("kernel", "outer_trace_kernel", "_correction_data"):
+        monkeypatch.setattr(NumericGreen, name, point_solve)
+    result = run_sweep(config, tmp_path)
+    assert len(result.ks) == 5 and np.all(np.isfinite(result.dist_dirichlet))

@@ -16,6 +16,8 @@ conductivity 1) with data ``cos t`` pins frozen values:
 """
 
 import dataclasses
+import logging
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,7 @@ from npeit.green import NumericGreen
 from npeit.layers import build_scene_operators
 from npeit.spectrum import NPSpectrum, solve_spectrum
 from npeit.transmission import (
+    _solve_second_kind,
     contrast_parameter,
     derivative_ladder,
     derivative_norm_ratios,
@@ -133,11 +136,23 @@ class TestTransmission:
         assert np.max(np.abs(sol.outer_trace()
                              - sol.background.trace)) <= 1e-13
 
-    def test_near_resonance_warns(self, ops, caplog):
-        import logging
+    def test_high_contrast_is_not_resonant(self, ops, caplog):
+        # lambda -> 1/2 is the conductor limit, solved exactly there; the
+        # nearest eigenvalue of K* is far below 1/2
         with caplog.at_level(logging.WARNING, logger="npeit.transmission"):
-            solve_transmission(ops, cos_data(ops), 1e12)
-        assert any("essential spectrum" in r.message for r in caplog.records)
+            sol = solve_transmission(ops, cos_data(ops), 1e12)
+        assert not caplog.records
+        conductor = solve_limit(ops, cos_data(ops), "conductor")
+        assert np.max(np.abs(sol.outer_trace() - conductor.trace)) \
+            <= 1e-10 * np.max(np.abs(conductor.trace))
+
+    def test_near_eigenvalue_warns(self, ops, caplog):
+        mu, _ = ops.pencil
+        rhs = ops.scene.inclusion.nodes[:, 0]
+        with caplog.at_level(logging.WARNING, logger="npeit.transmission"):
+            _solve_second_kind(ops, mu[0] + 1e-9, rhs)
+        assert any(f"eigenvalue {mu[0]:.12g} of K*" in r.getMessage()
+                   for r in caplog.records)
 
     def test_net_flux_data_is_projected(self, ops):
         # pure-Neumann compatibility: the boundary mean is removed and
@@ -271,6 +286,21 @@ class TestGradientBound:
         expect_ratio = (a * np.sqrt(np.pi) * 0.5) * np.sqrt(3.0) / (
             np.sqrt(0.6 * np.pi) + np.sqrt(5 / 3) * np.sqrt(np.pi))
         assert gb.ratio == pytest.approx(expect_ratio, rel=1e-11)
+
+    def test_data_without_mean_free_part_raises(self):
+        # an off-centre disk: the bound is 0 / 0 for constant data
+        scene = InclusionScene(make_circle((0, 0), 1.0, 64),
+                               make_circle((0.2, 0.1), 0.4, 64), 1.0)
+        d_ops = build_scene_operators(scene)
+        ones = np.ones(scene.outer.n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_transmission(d_ops, ones, [0.5, 4.0])
+            conductor = solve_limit(d_ops, ones, "conductor")
+            with pytest.raises(ValueError, match="mean-free part"):
+                sol.gradient_bound(conductor, trace_constant(d_ops))
+            with pytest.raises(ValueError, match="mean-free part"):
+                gradient_bound(d_ops, ones, 4.0)
 
     def test_ratio_decays_at_high_contrast(self, ops):
         f = cos_data(ops)
