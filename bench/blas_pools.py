@@ -11,11 +11,23 @@ in that child's environment only.  Each child times, per repeat:
   idle gap;
 * ten numpy products right after a scipy call, and after the gap.
 
-It writes the medians in milliseconds, the repeat count, both libraries'
-BLAS builds, the machine and the library versions to a JSON record::
+A driver probe then times the experiment drivers at n = 256 (or the
+``--driver-n`` node counts), each in a fresh interpreter: ``run_sweep`` on
+``bench/ladder.py``'s scene, and ``run_spectrum`` then ``run_expansion``
+on ``bench/spectrum.py``'s scene.  It runs them once with the thread
+variables unset, so on the drivers' own policy of one BLAS thread, and
+once with ``OPENBLAS_NUM_THREADS`` set to the core count, which the
+drivers defer to: one thread per core.  Each child times its driver calls
+after one warm-up.
+
+It writes the medians (milliseconds for the pools, seconds for the
+drivers), the repeat count, both libraries' BLAS builds, the machine and
+the library versions to a JSON record::
 
     python bench/blas_pools.py                  # 5 repeats
     python bench/blas_pools.py --repeats 1 --out /tmp/BENCH_blas_pools.json
+    python bench/blas_pools.py --n 128 --driver-n 256 512 1024 2048 \
+        --repeats 3 --out /tmp/blas_drivers.json  # the README's table
 """
 
 from __future__ import annotations
@@ -26,10 +38,15 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-from ladder import ROOT, environment
+from ladder import ROOT, environment, time_sweep
+from spectrum import SCENE as SPECTRUM_SCENE
+from spectrum import run_pair
+
+from npeit.config import parse_config
 
 import numpy
 import scipy
@@ -38,6 +55,13 @@ import scipy.linalg
 IDLE_S = 0.3
 PRODUCTS = 10
 THREADS = {"default": None, "1": "1"}
+#: the variables OpenBLAS reads its thread count from; unset in every child
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+DRIVERS = ("run_sweep", "run_spectrum+run_expansion")
+#: the drivers' own policy, and one thread per core set by the variable
+DRIVER_THREADS = {"policy": None,
+                  f"OPENBLAS_NUM_THREADS={os.cpu_count()}": str(os.cpu_count())}
 
 
 def blas_builds() -> dict:
@@ -87,15 +111,37 @@ def probe(n: int, repeats: int) -> dict[str, float]:
             for name, values in samples.items()}
 
 
-def run_child(n: int, threads: str | None, repeats: int) -> dict:
-    """:func:`probe` in a fresh interpreter at the given thread count."""
-    env = dict(os.environ)
-    env.pop("OPENBLAS_NUM_THREADS", None)
+def time_drivers(driver: str, n: int, repeats: int) -> dict[str, float]:
+    """Median, min and max seconds of ``repeats`` calls of one driver
+    probe at ``n`` nodes in this interpreter, after one warm-up."""
+    if driver == "run_sweep":
+        samples = time_sweep(n, repeats)
+    else:
+        config = parse_config(SPECTRUM_SCENE.format(n=n))
+        samples = []
+        with tempfile.TemporaryDirectory() as out:
+            run_pair(config, out)
+            for _ in range(repeats):
+                start = time.perf_counter()
+                run_pair(config, out)
+                samples.append(time.perf_counter() - start)
+    return {"median_s": statistics.median(samples), "min_s": min(samples),
+            "max_s": max(samples)}
+
+
+def run_child(n: int, threads: str | None, repeats: int,
+              driver: str | None = None) -> dict:
+    """:func:`probe`, or :func:`time_drivers` for ``driver``, in a fresh
+    interpreter with ``OPENBLAS_NUM_THREADS`` at ``threads`` (None: no
+    thread variable set)."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in THREAD_VARIABLES}
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
-    proc = subprocess.run(
-        [sys.executable, __file__, "--child", str(n), "--repeats",
-         str(repeats)], env=env, capture_output=True, text=True, check=True)
+    argv = [sys.executable, __file__, "--child", str(n), "--repeats",
+            str(repeats)] + (["--driver", driver] if driver else [])
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True,
+                          check=True)
     return json.loads(proc.stdout)
 
 
@@ -105,12 +151,16 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path,
                         default=ROOT / "BENCH_blas_pools.json")
+    parser.add_argument("--driver-n", type=int, nargs="+", default=[256],
+                        help="node counts of the driver probe")
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--driver", choices=DRIVERS, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     if args.child is not None:
-        print(json.dumps(probe(args.child, args.repeats)))
+        print(json.dumps(time_drivers(args.driver, args.child, args.repeats)
+                         if args.driver else probe(args.child, args.repeats)))
         return 0
     results = {}
     for n in args.n:
@@ -119,12 +169,22 @@ def main(argv=None) -> int:
                 n, threads, args.repeats)
             print(f"n={n} threads={label}: " + ", ".join(
                 f"{name} {value:.1f}" for name, value in medians.items()))
+    drivers = {}
+    for n in args.driver_n:
+        for driver in DRIVERS:
+            drivers[f"{driver}, n={n}"] = rows = {}
+            for label, threads in DRIVER_THREADS.items():
+                rows[label] = row = run_child(n, threads, args.repeats,
+                                              driver)
+                print(f"{driver} n={n} {label}: median "
+                      f"{row['median_s']:.4f} s")
     record = {
         "benchmark": "scipy eigh and numpy products right after the other "
                      f"library's call and after a {IDLE_S} s idle gap",
         "repeats": args.repeats,
         "products": PRODUCTS,
         "results": results,
+        "drivers": drivers,
         "blas": blas_builds(),
         **environment(),
     }

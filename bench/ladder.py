@@ -29,7 +29,8 @@ import numpy  # noqa: E402
 import scipy  # noqa: E402
 
 from npeit.config import parse_config  # noqa: E402
-from npeit.experiments import run_sweep  # noqa: E402
+from npeit.experiments import (_one_blas_thread,  # noqa: E402
+                               blas_threads, run_sweep)
 
 POINTS = 64
 #: geometric ladder from k0/100 to 300 k0 with k0 = 1, and data with net flux
@@ -61,8 +62,15 @@ def _cpu() -> str:
     return platform.processor()
 
 
+@_one_blas_thread
+def _seen_by_driver(config, out_dir) -> dict:
+    return blas_threads()
+
+
 def environment() -> dict:
-    """The machine, library versions and BLAS thread settings of a run."""
+    """The machine, library versions and BLAS thread settings of a run:
+    the thread variables, and each OpenBLAS library's thread count outside
+    the drivers and as the drivers see it."""
     return {
         "machine": {"cpu": _cpu(), "nproc": os.cpu_count(),
                     "platform": platform.platform()},
@@ -70,7 +78,10 @@ def environment() -> dict:
                      "numpy": numpy.__version__, "scipy": scipy.__version__},
         "thread_env": {key: os.environ[key] for key in
                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                        "MKL_NUM_THREADS") if key in os.environ},
+                        "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
+                       if key in os.environ},
+        "blas_threads": {"outside": blas_threads(),
+                         "in_drivers": _seen_by_driver(None, None)},
     }
 
 

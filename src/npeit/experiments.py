@@ -5,15 +5,19 @@ output directory, runs one study, writes one CSV file, and returns the
 in-memory result.  All numeric CSV output uses full round-trip precision
 (17 significant digits) and the files are byte-identical across reruns of
 the same config: nothing here is sampled, perturbation ladders are
-enumerated, and every ladder is evaluated serially in index order.
+enumerated, and every ladder is evaluated serially in index order, on
+one BLAS thread per OpenBLAS library whatever the machine's core count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, wraps
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +43,7 @@ __all__ = [
     "TRIPLE_LOG_THRESHOLD",
     "SweepResult",
     "StabilityRow",
+    "blas_threads",
     "build_operators",
     "format_number",
     "rank_correlation",
@@ -59,6 +64,55 @@ EXPANSION_HEADER = "family,index,A_system,A_projection,gap"
 
 #: traces closer than this admit a finite triple-log reference value
 TRIPLE_LOG_THRESHOLD = math.exp(-math.e)
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _openblas_pools() -> dict:
+    try:
+        paths = {line.split(None, 5)[5] for line in
+                 Path("/proc/self/maps").read_text().splitlines() if "openblas" in line}
+        libs = [(Path(path).name, ctypes.CDLL(path)) for path in sorted(paths)]
+    except (OSError, ValueError):  # no such file, or a path that is not text
+        return {}
+    names = [f"{prefix}openblas_%s_num_threads{suffix}"
+             for prefix in ("", "scipy_") for suffix in ("", "64_")]
+    get, put = ctypes.CFUNCTYPE(ctypes.c_int), ctypes.CFUNCTYPE(None, ctypes.c_int)
+    return {file: (get((name % "get", lib)), put((name % "set", lib)))
+            for file, lib in libs for name in names if hasattr(lib, name % "set")}
+
+
+_OPENBLAS = _openblas_pools()  # once: a scan per call grew forked children's RSS
+_held_lock, _held = threading.Lock(), {"depth": 0, "counts": {}}
+
+
+def blas_threads() -> dict[str, int]:
+    """Thread count of each loaded OpenBLAS, by library file name."""
+    return {name: get() for name, (get, _) in _OPENBLAS.items()}
+
+
+def _hold_blas(step: int) -> None:
+    with _held_lock:
+        if not _held["depth"]:
+            _held["counts"] = blas_threads()
+        _held["depth"] += step
+        for name, count in _held["counts"].items():
+            _OPENBLAS[name][1](1 if _held["depth"] else count)
+
+
+def _one_blas_thread(driver):
+    """Run ``driver`` on one thread per loaded OpenBLAS unless a thread
+    variable is set (see the README).  Concurrent drivers count in and out
+    (``_hold_blas``): the last one out puts back the counts the first found."""
+    @wraps(driver)
+    def run(config: ExperimentConfig, out_dir):
+        if any(map(os.environ.get, _THREAD_VARIABLES)):
+            return driver(config, out_dir)
+        _hold_blas(+1)
+        try:
+            return driver(config, out_dir)
+        finally:
+            _hold_blas(-1)
+    return run
 
 
 def build_operators(config: ExperimentConfig, inclusion_spec: str | None = None,
@@ -97,6 +151,7 @@ def _fit_tail_slope(ks, dists, tail: int = 4) -> float | None:
     return float(np.polyfit(np.log(k[keep]), np.log(d[keep]), 1)[0])
 
 
+@_one_blas_thread
 def run_sweep(config: ExperimentConfig, out_dir) -> SweepResult:
     """Sweep the conductivity ladder and measure convergence to the
     high-contrast limits; writes ``sweep.csv``.
@@ -146,6 +201,7 @@ def run_sweep(config: ExperimentConfig, out_dir) -> SweepResult:
 _FAMILY_RANK = {"+": 0, "-": 1, "0": 2}
 
 
+@_one_blas_thread
 def run_spectrum(config: ExperimentConfig, out_dir) -> NPSpectrum:
     """Report the leading ``n_modes`` eigenpairs (largest ``|lambda|``
     across families); writes ``spectrum.csv``."""
@@ -163,6 +219,7 @@ def run_spectrum(config: ExperimentConfig, out_dir) -> NPSpectrum:
     return NPSpectrum(selected, ops)
 
 
+@_one_blas_thread
 def run_expansion(config: ExperimentConfig, out_dir) -> ExpansionResult:
     """Expand the transmission solution at the ladder base conductivity
     over the leading ``j`` modes of each family, reporting both
@@ -242,6 +299,7 @@ def _pair_distance(pair_id: int, a, b) -> float:
                for d, inside, unsure in located)
 
 
+@_one_blas_thread
 def run_stability(config: ExperimentConfig, out_dir) -> list[StabilityRow]:
     """Rank inclusion pairs by their ladder trace gap against geometric
     distances; writes ``stability.csv``.

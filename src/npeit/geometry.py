@@ -41,7 +41,6 @@ __all__ = [
     "make_circle",
     "make_ellipse",
     "make_star",
-    "rotated",
     "parse_curve_spec",
     "curve_spec_string",
     "distance_to_boundary",
@@ -250,32 +249,6 @@ def make_star(center, r0: float, terms, n: int) -> BoundaryCurve:
         them (see :mod:`npeit.curvespec`).
     """
     return _build_curve(curvespec.star(center, r0, terms, n))
-
-
-def rotated(curve: BoundaryCurve, angle: float, pivot=None) -> BoundaryCurve:
-    """Rigidly rotated copy of a curve (same node count).
-
-    Circles and stars rotate exactly within their parametric family; an
-    ellipse may only be rotated by multiples of pi.
-    """
-    pivot = np.asarray(curve.center if pivot is None else pivot, dtype=float)
-    ca, sa = math.cos(angle), math.sin(angle)
-    rot = np.array([[ca, -sa], [sa, ca]])
-    new_center = pivot + rot @ (curve.center - pivot)
-    if curve.kind == "circle":
-        return make_circle(new_center, *curve.params, curve.n)
-    if curve.kind == "star":
-        r0, terms = curve.params
-        new_terms = []
-        for m, a, b in terms:
-            cm, sm = math.cos(m * angle), math.sin(m * angle)
-            new_terms.append((m, a * cm - b * sm, a * sm + b * cm))
-        return make_star(new_center, r0, new_terms, curve.n)
-    if curve.kind == "ellipse":
-        if abs(math.remainder(angle, math.pi)) > 1e-14:
-            raise CurveError("ellipse rotation only supported by multiples of pi")
-        return make_ellipse(new_center, *curve.params, curve.n)
-    raise CurveError(f"unknown curve kind {curve.kind!r}")
 
 
 def parse_curve_spec(text: str, n: int) -> BoundaryCurve:

@@ -86,10 +86,6 @@ class SceneOperators:
     def curve(self) -> BoundaryCurve:
         return self.scene.inclusion
 
-    def project_mean_free(self, g: np.ndarray) -> np.ndarray:
-        """Remove the weighted mean from nodal values."""
-        return g - self.curve.mean(g)
-
     # -- operator actions -----------------------------------------------------
 
     def potential_trace(self, g: np.ndarray) -> np.ndarray:
@@ -116,17 +112,6 @@ class SceneOperators:
     def energy_norm2(self, g: np.ndarray) -> float:
         """``(g | S g)`` = full-domain gradient energy of the potential."""
         return float(self.energy(g, g))
-
-    def energy_difference(self, g: np.ndarray) -> float:
-        """Interior-minus-exterior gradient energy, ``-2 (g | K S g)``."""
-        return float(-2.0 * self.energy(self.flux_average(g), g))
-
-    def energy_quotient(self, g: np.ndarray) -> float:
-        """Rayleigh quotient of the difference form against the energy."""
-        denom = self.energy_norm2(g)
-        if denom <= 0:
-            raise ValueError("density has nonpositive energy; cannot form quotient")
-        return self.energy_difference(g) / denom
 
     # -- fields ---------------------------------------------------------------
 

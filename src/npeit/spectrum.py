@@ -74,16 +74,9 @@ class NPSpectrum:
     def __iter__(self):
         return iter(self.modes)
 
-    def family(self, name: str) -> list[SpectralMode]:
-        return [m for m in self.modes if m.family == name]
-
     @property
     def mus(self) -> np.ndarray:
         return np.array([m.mu for m in self.modes])
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        return np.array([m.lam for m in self.modes])
 
     def gram(self) -> np.ndarray:
         """Energy Gram matrix of the mode densities (identity if the

@@ -517,17 +517,6 @@ def taylor_outer_trace(ops: SceneOperators, sol: TransmissionSolution,
     return tr - ops.scene.outer.mean(tr)
 
 
-def derivative_norm_ratios(ops: SceneOperators, phis: list[np.ndarray],
-                           k: float) -> list[float]:
-    """Scaled energy norms ``|u^(j)|_V / (j! phi(k)^(j+1))`` with
-    ``phi(k) = 1/min(k, k0)``; bounded uniformly in ``j`` and ``k`` when
-    the solution map is analytic with the expected radius."""
-    scale = 1.0 / min(k, ops.scene.k0)
-    return [math.sqrt(max(ops.energy_norm2(phi), 0.0))
-            / (math.factorial(j) * scale ** (j + 1))
-            for j, phi in enumerate(phis, start=1)]
-
-
 # ---------------------------------------------------------------------------
 # spectral expansion of the solution
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
-"""References on an operator set that only the tests use."""
+"""References on operator sets, spectra and curves that only the tests
+use."""
+
+import math
 
 import numpy as np
 
+from npeit.exceptions import CurveError
+from npeit.geometry import BoundaryCurve, make_circle, make_ellipse, make_star
 from npeit.quadrature import free_self_matrices
 
 
@@ -43,3 +48,53 @@ def mean_free_basis(ops) -> np.ndarray:
     v[0] += 1.0
     return (np.eye(len(v)) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
 
+
+def energy_quotient(ops, g: np.ndarray) -> float:
+    """Rayleigh quotient of the interior-minus-exterior gradient energy,
+    ``-2 (g | K S g)``, against the energy ``(g | S g)``."""
+    denom = ops.energy_norm2(g)
+    if denom <= 0:
+        raise ValueError("density has nonpositive energy; cannot form quotient")
+    return float(-2.0 * ops.energy(ops.flux_average(g), g)) / denom
+
+
+def derivative_norm_ratios(ops, phis: list, k: float) -> list:
+    """Scaled energy norms ``|u^(j)|_V / (j! phi(k)^(j+1))`` of the
+    conductivity derivatives ``phis`` with ``phi(k) = 1/min(k, k0)``;
+    bounded uniformly in ``j`` and ``k`` when the solution map is
+    analytic with the expected radius."""
+    scale = 1.0 / min(k, ops.scene.k0)
+    return [math.sqrt(max(ops.energy_norm2(phi), 0.0))
+            / (math.factorial(j) * scale ** (j + 1))
+            for j, phi in enumerate(phis, start=1)]
+
+
+def family(spectrum, name: str) -> list:
+    """The modes of one family (``+``, ``-`` or ``0``) of a spectrum."""
+    return [m for m in spectrum if m.family == name]
+
+
+def rotated(curve: BoundaryCurve, angle: float, pivot=None) -> BoundaryCurve:
+    """Rigidly rotated copy of a curve (same node count).
+
+    Circles and stars rotate exactly within their parametric family; an
+    ellipse may only be rotated by multiples of pi.
+    """
+    pivot = np.asarray(curve.center if pivot is None else pivot, dtype=float)
+    ca, sa = math.cos(angle), math.sin(angle)
+    rot = np.array([[ca, -sa], [sa, ca]])
+    new_center = pivot + rot @ (curve.center - pivot)
+    if curve.kind == "circle":
+        return make_circle(new_center, *curve.params, curve.n)
+    if curve.kind == "star":
+        r0, terms = curve.params
+        new_terms = []
+        for m, a, b in terms:
+            cm, sm = math.cos(m * angle), math.sin(m * angle)
+            new_terms.append((m, a * cm - b * sm, a * sm + b * cm))
+        return make_star(new_center, r0, new_terms, curve.n)
+    if curve.kind == "ellipse":
+        if abs(math.remainder(angle, math.pi)) > 1e-14:
+            raise CurveError("ellipse rotation only supported by multiples of pi")
+        return make_ellipse(new_center, *curve.params, curve.n)
+    raise CurveError(f"unknown curve kind {curve.kind!r}")

@@ -20,9 +20,11 @@ from npeit.exceptions import (CurveError, EvaluationDomainError,
 from npeit.geometry import (InclusionScene, RegionWithHole,
                             distance_to_boundary, hausdorff_distance,
                             make_circle, make_ellipse, make_star,
-                            region_distance, rotated)
+                            region_distance)
 from npeit.green import NumericGreen
 from npeit.layers import PotentialField, build_scene_operators
+
+from references import rotated
 
 GUARD_FACTOR = 1e-8
 MARGIN_SPACINGS = 3.0

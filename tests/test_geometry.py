@@ -26,8 +26,9 @@ from npeit.geometry import (
     modified_distance,
     parse_curve_spec,
     region_distance,
-    rotated,
 )
+
+from references import rotated
 
 # Perimeter of the ellipse with a=1.3, b=0.7, via 4*a*E(e^2) evaluated
 # with mpmath to 30 digits (frozen):

@@ -13,6 +13,7 @@ from npeit.layers import build_scene_operators
 from npeit.spectrum import solve_spectrum
 
 from disk_modes import oracle_flux_average_eigenvalue
+from references import energy_quotient, family
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +36,7 @@ class TestConcentricSpectrum:
         spec = solve_spectrum(concentric_ops, 16)
         exact = sorted(oracle_flux_average_eigenvalue(m, 0.5)
                        for m in range(1, 9) for _ in range(2))
-        computed = sorted(m.mu for m in spec.family("+"))
+        computed = sorted(m.mu for m in family(spec, "+"))
         assert len(computed) == 16
         assert np.max(np.abs(np.array(computed) - exact)) <= 1e-12
 
@@ -46,8 +47,8 @@ class TestConcentricSpectrum:
 
     def test_quotient_reproduces_lambda(self, concentric_ops):
         spec = solve_spectrum(concentric_ops, 8)
-        for mode in spec.family("+"):
-            q = concentric_ops.energy_quotient(mode.density)
+        for mode in family(spec, "+"):
+            q = energy_quotient(concentric_ops, mode.density)
             assert q == pytest.approx(mode.lam, abs=1e-12)
 
     def test_unit_energy_normalization(self, concentric_ops):
@@ -66,7 +67,7 @@ class TestConcentricSpectrum:
 
     def test_family_ordering(self, concentric_ops):
         spec = solve_spectrum(concentric_ops, 8)
-        plus = spec.family("+")
+        plus = family(spec, "+")
         lams = [m.lam for m in plus]
         assert lams == sorted(lams, reverse=True)
         assert [m.index for m in plus] == list(range(1, len(plus) + 1))
@@ -76,7 +77,7 @@ class TestConcentricSpectrum:
         spec = solve_spectrum(concentric_ops, 4)
         t = concentric_ops.curve.t
         basis = np.column_stack([np.cos(t), np.sin(t)])
-        for mode in spec.family("+")[:2]:
+        for mode in family(spec, "+")[:2]:
             coeffs = np.linalg.lstsq(basis, mode.density, rcond=None)[0]
             recon = basis @ coeffs
             assert np.max(np.abs(recon - mode.density)) <= 1e-10
@@ -92,8 +93,8 @@ class TestConcentricSpectrum:
 class TestGeneralSpectrum:
     def test_star_has_both_families(self, star_ops):
         spec = solve_spectrum(star_ops, 10)
-        assert len(spec.family("+")) == 10
-        assert len(spec.family("-")) == 10
+        assert len(family(spec, "+")) == 10
+        assert len(family(spec, "-")) == 10
         assert spec.max_residual() <= 1e-10
         assert spec.orthogonality_defect() <= 1e-10
 
@@ -101,7 +102,7 @@ class TestGeneralSpectrum:
         # |mu| < 1/2 on mean-free densities, so |lambda| < 1
         spec = solve_spectrum(star_ops, 20)
         assert np.max(np.abs(spec.mus)) < 0.5
-        assert np.max(np.abs(spec.lambdas)) < 1.0
+        assert max(abs(m.lam) for m in spec) < 1.0
 
     def test_grid_convergence(self):
         # leading star eigenvalue converges spectrally in grid size
@@ -109,7 +110,7 @@ class TestGeneralSpectrum:
             scene = InclusionScene(
                 make_circle((0, 0), 1.0, n),
                 make_star((0.1, 0.05), 0.4, [(3, 0.06), (5, 0.02)], n))
-            return solve_spectrum(build_scene_operators(scene), 2).family("+")[0].lam
+            return family(solve_spectrum(build_scene_operators(scene), 2), "+")[0].lam
 
         coarse, fine, finest = leading(96), leading(144), leading(192)
         assert abs(fine - finest) <= abs(coarse - finest) * 0.5 + 1e-13
@@ -119,7 +120,7 @@ class TestGeneralSpectrum:
 class TestArguments:
     def test_mode_cap(self, concentric_ops):
         spec = solve_spectrum(concentric_ops, 1000)
-        assert all(len(spec.family(f)) <= 128 // 4 for f in "+-0")
+        assert all(len(family(spec, f)) <= 128 // 4 for f in "+-0")
 
     def test_rejects_bad_count(self, concentric_ops):
         with pytest.raises(ValueError):

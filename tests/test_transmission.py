@@ -39,7 +39,6 @@ from npeit.transmission import (
     _solve_second_kind,
     contrast_parameter,
     derivative_ladder,
-    derivative_norm_ratios,
     expansion_coefficients,
     gradient_bound,
     solve_background,
@@ -50,7 +49,7 @@ from npeit.transmission import (
     trace_distance,
 )
 
-from references import HatForms
+from references import HatForms, derivative_norm_ratios
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
