@@ -211,12 +211,13 @@ def run_spectrum(config: ExperimentConfig, out_dir) -> NPSpectrum:
         spectrum.modes,
         key=lambda m: (-abs(m.lam), _FAMILY_RANK[m.family], m.index))
     keep = {id(m) for m in ranked[:config.n_modes]}
-    selected = [m for m in spectrum.modes if id(m) in keep]
+    idx = [i for i, m in enumerate(spectrum.modes) if id(m) in keep]
+    selected = [spectrum.modes[i] for i in idx]
     rows = [(str(m.index), m.family, format_number(m.mu),
              format_number(m.lam), format_number(m.residual))
             for m in selected]
     _write_csv(Path(out_dir) / "spectrum.csv", SPECTRUM_HEADER, rows)
-    return NPSpectrum(selected, ops)
+    return NPSpectrum(selected, gram=spectrum.gram()[np.ix_(idx, idx)])
 
 
 @_one_blas_thread

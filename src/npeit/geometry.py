@@ -25,7 +25,6 @@ obtained by removing an interior hole from it).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,7 +113,7 @@ class BoundaryCurve:
     def point(self, t):
         """Evaluate ``q(t)`` for arbitrary parameter values."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return _eval_point(self.kind, self.center, self.params, t)
+        return _eval_jet(self.kind, self.center, self.params, t)[0]
 
     # -- point classification -------------------------------------------------
 
@@ -143,12 +142,13 @@ class BoundaryCurve:
         return bool(inside[0]) if x.ndim == 1 else inside
 
 
-def _require_inside(curve: BoundaryCurve, pts, message: str) -> None:
-    # raises as a loop of ``curve.contains`` over ``pts`` would
-    _, inside, unsure = curve.locate(pts)
-    bad = unsure | ~inside
+def _require_inside(curve: BoundaryCurve, pts, message: str) -> tuple:
+    # raises as ``curve.contains`` per point would, else gives ``curve.locate(pts)``
+    located = curve.locate(pts)
+    bad = located[2] | ~located[1]
     if bad.any() and not curve.contains(pts[int(np.argmax(bad))]):
         raise CurveError(message)
+    return located
 
 
 def _radius(t, r0, terms):
@@ -168,34 +168,17 @@ def _radius_series(t, r0, terms):
     return _radius(t, r0, terms), d1, d2
 
 
-def _eval_point(kind, center, params, t):
-    if kind == "circle":
-        (r,) = params
-        return center + r * np.column_stack([np.cos(t), np.sin(t)])
-    if kind == "ellipse":
-        a, b = params
-        return center + np.column_stack([a * np.cos(t), b * np.sin(t)])
+def _eval_jet(kind, center, params, t):
+    # q(t), q'(t) and q''(t), each (len(t), 2)
+    e = np.column_stack([np.cos(t), np.sin(t)])
+    ep = np.column_stack([-e[:, 1], e[:, 0]])
     if kind == "star":
-        r0, terms = params
-        return center + _radius(t, r0, terms)[:, None] * np.column_stack(
-            [np.cos(t), np.sin(t)])
-    raise CurveError(f"unknown curve kind {kind!r}")
-
-
-def _eval_derivative(kind, center, params, t):
-    if kind == "circle":
-        (r,) = params
-        return r * np.column_stack([-np.sin(t), np.cos(t)])
-    if kind == "ellipse":
-        a, b = params
-        return np.column_stack([-a * np.sin(t), b * np.cos(t)])
-    if kind == "star":
-        r0, terms = params
-        rho, d1, _ = _radius_series(t, r0, terms)
-        e = np.column_stack([np.cos(t), np.sin(t)])
-        ep = np.column_stack([-np.sin(t), np.cos(t)])
-        return d1[:, None] * e + rho[:, None] * ep
-    raise CurveError(f"unknown curve kind {kind!r}")
+        rho, d1, d2 = (v[:, None] for v in _radius_series(t, *params))
+        return center + rho * e, d1 * e + rho * ep, (d2 - rho) * e + 2.0 * d1 * ep
+    if kind not in ("circle", "ellipse"):
+        raise CurveError(f"unknown curve kind {kind!r}")
+    axes = np.array(params)  # a circle's (r,) broadcasts
+    return center + axes * e, axes * ep, -axes * e
 
 
 def _build_curve(spec: curvespec.CurveSpec) -> BoundaryCurve:
@@ -203,8 +186,7 @@ def _build_curve(spec: curvespec.CurveSpec) -> BoundaryCurve:
     kind, params, n = spec.kind, spec.params, spec.n
     center = np.array(spec.center)
     t = 2.0 * np.pi * np.arange(n) / n
-    q = _eval_point(kind, center, params, t)
-    qp = _eval_derivative(kind, center, params, t)
+    q, qp, _ = _eval_jet(kind, center, params, t)
 
     if kind == "circle":
         (r,) = params
@@ -277,11 +259,11 @@ def _contains_analytic(curve: BoundaryCurve, x):
 def distance_to_boundary(curve: BoundaryCurve, x):
     """Distance from a point, or per row of a ``(P, 2)`` array, to the curve.
 
-    Exact for circles; for other kinds the node minimum is refined by a
-    golden-section search on the exact parameterization, so the result is
+    Exact for circles; for other kinds a safeguarded Newton iteration on
+    the exact parameterization refines the nearest node, so the result is
     limited only by local-minimum bracketing (adequate for the smooth,
-    mildly perturbed curves used here).  All rows are searched at once;
-    each stops when its own bracket closes.
+    mildly perturbed curves used here).  All rows are refined at once, and
+    each stops on its own: a row's distance is the same alone or in a batch.
     """
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, 2)
@@ -290,40 +272,48 @@ def distance_to_boundary(curve: BoundaryCurve, x):
         dx = pts - curve.center
         d = np.abs(np.hypot(dx[:, 0], dx[:, 1]) - r)
     else:
-        d = _golden_distance(curve, pts)
+        d = _newton_distance(curve, pts)
     return float(d[0]) if x.ndim == 1 else d
 
 
-def _golden_distance(curve: BoundaryCurve, pts) -> np.ndarray:
-    def f(tt, xs):
-        p = _eval_point(curve.kind, curve.center, curve.params, tt)
-        return ((p - xs) ** 2).sum(axis=1)
-
-    dx = curve.nodes[:, 0] - pts[:, 0, None]
-    dy = curve.nodes[:, 1] - pts[:, 1, None]
-    t0 = curve.t[np.argmin(dx**2 + dy**2, axis=1)]
-    h = 2.0 * np.pi / curve.n
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = t0 - h, t0 + h
-    c1, c2 = b - phi * (b - a), a + phi * (b - a)
-    f1, f2 = f(c1, pts), f(c2, pts)
-    out = np.empty(len(pts))
-    live = np.arange(len(pts))
-    for _ in range(80):
-        left = f1 <= f2
-        a, b = np.where(left, a, c1), np.where(left, c2, b)
-        step = phi * (b - a)
-        c = np.where(left, b - step, a + step)
-        fc = f(c, pts)
-        c1, c2 = np.where(left, c, c2), np.where(left, c1, c)
-        f1, f2 = np.where(left, fc, f2), np.where(left, f1, fc)
-        done = b - a < 1e-14
-        if done.any():
-            out[live[done]] = np.sqrt(np.minimum(f1, f2)[done])
-            keep = ~done
-            live, pts, a, b, c1, c2, f1, f2 = (
-                v[keep] for v in (live, pts, a, b, c1, c2, f1, f2))
-    out[live] = np.sqrt(np.minimum(f1, f2))
+def _newton_distance(curve: BoundaryCurve, pts) -> np.ndarray:
+    # Newton on g(t) = (q - x).q' = f'/2, f = |q(t) - x|^2, from the nearest
+    # node t0 inside a bracket [t0 - h, t0 + h] that shrinks to where f
+    # descends.  Where g' <= 0 (a node can be a local maximum of f) the step
+    # goes to the minimum of f + 2 g s + g' s^2 + c s^4 through f at the
+    # bracket end, else halfway; a row stops once g^2/g' < f's last bit.
+    fn = (curve.nodes[:, 0] - pts[:, 0, None]) ** 2 \
+        + (curve.nodes[:, 1] - pts[:, 1, None]) ** 2
+    i, live = np.argmin(fn, axis=1), np.arange(len(pts))
+    t, h, out = curve.t[i], 2.0 * np.pi / curve.n, np.empty(len(pts))
+    lo, hi, f_lo, f_hi = t - h, t + h, fn[live, i - 1], fn[live, (i + 1) % curve.n]
+    for _ in range(40):
+        q, q1, q2 = _eval_jet(curve.kind, curve.center, curve.params, t)
+        r = q - pts
+        f, g, s2 = (r * r).sum(axis=1), (r * q1).sum(axis=1), (q1 * q1).sum(axis=1)
+        gp = s2 + (r * q2).sum(axis=1)
+        # g' within its roundoff of 0 is a flat minimum, not a maximum; the
+        # floor of f's last bit is the resolution of r and of t
+        flat = 8.0 * np.spacing(s2 + np.sqrt(f * (q2 * q2).sum(axis=1)))
+        tiny = np.spacing((abs(q) + abs(pts)).sum(axis=1)) + np.spacing(t) * np.sqrt(s2)
+        done = (gp > -flat) & (g * g <= np.maximum(gp, flat)
+                               * (np.spacing(f) + 4.0 * tiny * tiny))
+        out[live[done]] = np.sqrt(f[done])
+        if done.all():
+            return out
+        live, pts, t, lo, hi, f_lo, f_hi, f, g, gp = (
+            v[~done] for v in (live, pts, t, lo, hi, f_lo, f_hi, f, g, gp))
+        left = g > 0
+        lo, f_lo = np.where(g < 0, t, lo), np.where(g < 0, f, f_lo)
+        hi, f_hi = np.where(left, t, hi), np.where(left, f, f_hi)
+        span = np.where(left, lo, hi) - t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t - g / gp
+            quartic = np.where(left, f_lo, f_hi) - f - (2.0 * g + gp * span) * span
+            frac = np.abs(span) * np.sqrt(-gp) / np.sqrt(2.0 * quartic)
+        frac = np.where((frac > 0.0) & (frac < 1.0), frac, 0.5)
+        t = np.where((gp > 0) & (step > lo) & (step < hi), step, t + frac * span)
+    out[live] = np.sqrt(f)
     return out
 
 
@@ -424,12 +414,15 @@ class InclusionScene:
     outer: BoundaryCurve
     inclusion: BoundaryCurve
     k0: float = 1.0
+    #: ``outer.locate(inclusion.nodes)``, for the outer kernel's guard too
+    located: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k0 <= 0:
             raise CurveError(f"background conductivity must be positive, got {self.k0}")
-        _require_inside(self.outer, self.inclusion.nodes,
-                        "inclusion is not strictly inside the outer boundary")
+        object.__setattr__(self, "located", _require_inside(
+            self.outer, self.inclusion.nodes,
+            "inclusion is not strictly inside the outer boundary"))
         sep = self.separation()
         threshold = 3.0 * max(self.outer.max_spacing(), self.inclusion.max_spacing())
         if sep < threshold:
@@ -440,5 +433,8 @@ class InclusionScene:
 
     def separation(self) -> float:
         """Minimal node-to-node distance between the two boundaries."""
-        d = self.outer.nodes[:, None, :] - self.inclusion.nodes[None, :, :]
-        return float(np.min(np.hypot(d[..., 0], d[..., 1])))
+        p, q = self.outer.nodes, self.inclusion.nodes
+        d2 = (p[:, 0, None] - q[:, 0]) ** 2
+        d2 += (p[:, 1, None] - q[:, 1]) ** 2
+        i, j = np.unravel_index(np.argmin(d2), d2.shape)
+        return float(np.hypot(*(p[i] - q[j])))

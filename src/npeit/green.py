@@ -97,7 +97,7 @@ class DiskGreen:
 
     # -- kernel surface -------------------------------------------------------
 
-    def inclusion_blocks(self, curve: BoundaryCurve):
+    def inclusion_blocks(self, curve: BoundaryCurve, located=None):
         """``R`` and ``d/dnu_x R`` on the inclusion nodes from one
         reflected-point table; ``outer_maps`` waits for first use."""
         x = curve.nodes
@@ -239,10 +239,10 @@ class NumericGreen:
         self.outer = outer
         self.neumann = InteriorNeumannSolver(outer)
 
-    def _require_far_inside(self, pts, what):
+    def _require_far_inside(self, pts, what, located=None):
         # the first offending point raises as per-point tests would
         margin = _EVAL_MARGIN_SPACINGS * self.outer.max_spacing()
-        d, inside, unsure = self.outer.locate(pts)
+        d, inside, unsure = located or self.outer.locate(pts)
         bad = unsure | ~inside | (d < margin)
         if bad.any():
             p = pts[int(np.argmax(bad))]
@@ -286,10 +286,11 @@ class NumericGreen:
 
     # -- kernel surface -------------------------------------------------------
 
-    def inclusion_blocks(self, curve: BoundaryCurve):
+    def inclusion_blocks(self, curve: BoundaryCurve, located=None):
         """``R`` and ``d/dnu_x R`` on the inclusion nodes, ``E psi + c`` and
-        ``F psi``, with ``outer_maps`` that made ``psi``."""
-        self._require(curve.nodes, "evaluation points")
+        ``F psi``, with ``outer_maps`` that made ``psi``; ``located``, if
+        given, is ``outer.locate(curve.nodes)`` (``InclusionScene.located``)."""
+        self._require(curve.nodes, "evaluation points", located)
         maps, (psi, const) = self.outer_maps(curve)
         return maps[0] @ psi + const, maps[1] @ psi, maps
 

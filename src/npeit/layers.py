@@ -171,7 +171,8 @@ def build_scene_operators(scene: InclusionScene, green=None) -> SceneOperators:
     w = curve.weights
 
     energy, kstar_plain = free_self_matrices(curve)
-    corr, dnu_corr, outer_blocks = green.inclusion_blocks(curve)
+    corr, dnu_corr, outer_blocks = green.inclusion_blocks(
+        curve, scene.located if green.outer is scene.outer else None)
     defect = float(np.max(np.abs(corr - corr.T)))
     if defect > 1e-9:
         log.warning("kernel correction asymmetry %.3e; symmetrizing", defect)

@@ -59,13 +59,14 @@ class NPSpectrum:
     Modes are grouped by family (``+`` then ``-`` then ``0``) and sorted
     by decreasing ``|lambda|`` within each family; ``index`` counts within
     the family starting from 1.  The modes' energy Gram matrix is formed
-    once on ``ops`` and kept read-only; ``ops`` itself is not kept.
+    once on ``ops`` (or given) and kept read-only; ``ops`` is not kept.
     """
 
-    def __init__(self, modes: list[SpectralMode], ops: SceneOperators):
+    def __init__(self, modes: list[SpectralMode], ops: SceneOperators | None = None,
+                 gram: np.ndarray | None = None):
         self.modes = modes
         densities = np.column_stack([m.density for m in modes])
-        self._gram = ops.energy(densities, densities)
+        self._gram = ops.energy(densities, densities) if gram is None else gram
         self._gram.flags.writeable = False
 
     def __len__(self) -> int:

@@ -98,3 +98,59 @@ def rotated(curve: BoundaryCurve, angle: float, pivot=None) -> BoundaryCurve:
             raise CurveError("ellipse rotation only supported by multiples of pi")
         return make_ellipse(new_center, *curve.params, curve.n)
     raise CurveError(f"unknown curve kind {curve.kind!r}")
+
+
+def golden_distance(curve: BoundaryCurve, pts, lo=None, hi=None):
+    """Distances from the rows of ``pts`` to a curve by a golden-section
+    search of ``|q(t) - x|^2`` over the nearest node's bracket
+    ``[t0 - h, t0 + h]`` (or ``[lo, hi]``), each row stopped once its
+    bracket is narrower than 1e-14.  This was the package's own search
+    before its Newton refinement; it stays as the oracle."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if curve.kind == "circle":
+        (r,) = curve.params
+        return np.abs(np.hypot(*(pts - curve.center).T) - r)
+
+    def f(tt, xs):
+        return np.sum((curve.point(tt) - xs) ** 2, axis=1)
+
+    if lo is None:
+        d2 = np.sum((curve.nodes - pts[:, None]) ** 2, axis=2)
+        t0 = curve.t[np.argmin(d2, axis=1)]
+        lo, hi = t0 - 2.0 * np.pi / curve.n, t0 + 2.0 * np.pi / curve.n
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    c1, c2 = b - phi * (b - a), a + phi * (b - a)
+    f1, f2 = f(c1, pts), f(c2, pts)
+    out = np.empty(len(pts))
+    live = np.arange(len(pts))
+    for _ in range(80):
+        left = f1 <= f2
+        a, b = np.where(left, a, c1), np.where(left, c2, b)
+        step = phi * (b - a)
+        c = np.where(left, b - step, a + step)
+        fc = f(c, pts)
+        c1, c2 = np.where(left, c, c2), np.where(left, c1, c)
+        f1, f2 = np.where(left, fc, f2), np.where(left, f1, fc)
+        done = b - a < 1e-14
+        if done.any():
+            out[live[done]] = np.sqrt(np.minimum(f1, f2)[done])
+            keep = ~done
+            live, pts, a, b, c1, c2, f1, f2 = (
+                v[keep] for v in (live, pts, a, b, c1, c2, f1, f2))
+    out[live] = np.sqrt(np.minimum(f1, f2))
+    return out
+
+
+def bracket_minima(curve: BoundaryCurve, x, samples: int = 4001) -> list:
+    """Distances at every local minimum of ``|q(t) - x|`` inside the nearest
+    node's bracket: the interior minima of a dense sample, each refined by
+    :func:`golden_distance` over its two neighbouring sample intervals."""
+    x = np.asarray(x, dtype=float)
+    t0 = curve.t[np.argmin(np.sum((curve.nodes - x) ** 2, axis=1))]
+    h = 2.0 * np.pi / curve.n
+    tt = np.linspace(t0 - h, t0 + h, samples)
+    f = np.sum((curve.point(tt) - x) ** 2, axis=1)
+    dips = np.flatnonzero((f[1:-1] <= f[:-2]) & (f[1:-1] <= f[2:])) + 1
+    return golden_distance(curve, np.tile(x, (len(dips), 1)), tt[dips - 1],
+                           tt[dips + 1]).tolist()

@@ -1,13 +1,19 @@
-"""Batched geometry queries against a frozen per-point reference.
+"""Batched geometry queries against a frozen per-point reference, and the
+distance itself against an independent oracle.
 
-The reference below is the per-point golden-section search and the
-per-point guard loops the package used before its queries took point
-arrays.  The batched path keeps the per-point arithmetic, so distances
-must agree bit for bit, and every guard must raise the same exception,
-with the same message, for the same first offending point.
+The reference below is the package's Newton search written for one point
+in scalar arithmetic, and the per-point guard loops the package used
+before its queries took point arrays.  The batched path keeps the
+per-point arithmetic and stops each row on its own, so distances must
+agree bit for bit, and every guard must raise the same exception, with
+the same message, for the same first offending point.  The oracle is the
+golden-section search the package used before (``references``); where it
+and the Newton search part, a dense sample of the bracket decides.
 """
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,16 +21,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npeit import geometry
+from npeit.config import parse_config
 from npeit.exceptions import (CurveError, EvaluationDomainError,
                               IndeterminatePointError, SeparationError)
 from npeit.geometry import (InclusionScene, RegionWithHole,
                             distance_to_boundary, hausdorff_distance,
                             make_circle, make_ellipse, make_star,
-                            region_distance)
+                            parse_curve_spec, region_distance)
 from npeit.green import NumericGreen
 from npeit.layers import PotentialField, build_scene_operators
 
-from references import rotated
+from references import bracket_minima, golden_distance, rotated
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 GUARD_FACTOR = 1e-8
 MARGIN_SPACINGS = 3.0
@@ -39,31 +49,41 @@ def ref_distance(curve, x) -> float:
     if curve.kind == "circle":
         (r,) = curve.params
         return abs(float(np.hypot(*(x - curve.center))) - r)
-    d2 = np.sum((curve.nodes - x) ** 2, axis=1)
-    i = int(np.argmin(d2))
+    fn = (curve.nodes[:, 0] - x[0]) ** 2 + (curve.nodes[:, 1] - x[1]) ** 2
+    i = int(np.argmin(fn))
     h = 2.0 * np.pi / curve.n
-    lo, hi = curve.t[i] - h, curve.t[i] + h
-
-    def f(tt):
-        p = curve.point(np.array([tt]))[0]
-        return float(np.sum((p - x) ** 2))
-
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1, c2 = b - phi * (b - a), a + phi * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(80):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = f(c2)
-        if b - a < 1e-14:
-            break
-    return math.sqrt(min(f1, f2))
+    t = curve.t[i]
+    lo, hi, f_lo, f_hi = t - h, t + h, fn[i - 1], fn[(i + 1) % curve.n]
+    for _ in range(40):
+        q, q1, q2 = (v[0] for v in geometry._eval_jet(
+            curve.kind, curve.center, curve.params, np.array([t])))
+        r = q - x
+        f = r[0] * r[0] + r[1] * r[1]
+        g = r[0] * q1[0] + r[1] * q1[1]
+        s2 = q1[0] * q1[0] + q1[1] * q1[1]
+        gp = s2 + (r[0] * q2[0] + r[1] * q2[1])
+        flat = 8.0 * np.spacing(s2 + np.sqrt(f * (q2[0] * q2[0]
+                                                  + q2[1] * q2[1])))
+        tiny = np.spacing((abs(q[0]) + abs(x[0])) + (abs(q[1]) + abs(x[1]))) \
+            + np.spacing(t) * np.sqrt(s2)
+        if gp > -flat and g * g <= max(gp, flat) * (np.spacing(f)
+                                                     + 4.0 * tiny * tiny):
+            return float(np.sqrt(f))
+        if g < 0:
+            lo, f_lo = t, f
+        elif g > 0:
+            hi, f_hi = t, f
+        if gp > 0 and lo < t - g / gp < hi:  # Newton
+            t = t - g / gp
+            continue
+        side, f_side = (lo, f_lo) if g > 0 else (hi, f_hi)
+        span, frac = side - t, 0.5
+        quartic = f_side - f - (2.0 * g + gp * span) * span
+        if gp < 0 and quartic > 0:
+            frac = abs(span) * np.sqrt(-gp) / np.sqrt(2.0 * quartic)
+            frac = frac if 0.0 < frac < 1.0 else 0.5
+        t = t + frac * span
+    return float(np.sqrt(f))
 
 
 def ref_contains_analytic(curve, x) -> bool:
@@ -328,24 +348,107 @@ class TestGuardParity:
 
 
 # ---------------------------------------------------------------------------
+# the distance against the oracle
+# ---------------------------------------------------------------------------
+
+TOL = 1e-14
+
+
+def perfbench_queries():
+    """The point sets the benchmark's scenes ask distances for: inclusion
+    nodes against the outer ellipse (``numeric-kernel``), and each star of a
+    pair against the other's nodes (``stability-pairs``), items 0-7 of two
+    seeds."""
+    for seed in (1, 5):
+        for index in range(8):
+            item = workloads.make_item("numeric-kernel", seed, index)
+            config = parse_config(item.config)
+            yield (parse_curve_spec(config.outer, config.n),
+                   parse_curve_spec(config.inclusion, config.n).nodes)
+            item = workloads.make_item("stability-pairs", seed, index)
+            config = parse_config(item.config)
+            for spec_a, spec_b in config.stability_pairs:
+                a = parse_curve_spec(spec_a, config.n)
+                b = parse_curve_spec(spec_b, config.n)
+                if a.kind != "circle":
+                    yield a, b.nodes
+                    yield b, a.nodes
+
+
+PERFBENCH = list(perfbench_queries())
+
+
+def assert_oracle(curve, pts, d):
+    """``d`` agrees with the golden-section oracle, or, where the nearest
+    node's bracket holds two minima and the searches settled in different
+    ones, with a dense-sample minimum of that bracket."""
+    for p, got, expected in zip(pts, d, golden_distance(curve, pts)):
+        if abs(got - expected) > TOL:
+            minima = bracket_minima(curve, p)
+            assert len(minima) >= 2, (p, got, minima)
+            assert min(abs(got - m) for m in minima) <= TOL, (p, got, minima)
+
+
+class TestAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_hypothesis_curves(self, data):
+        curve = data.draw(curves())
+        pts = data.draw(probe_points(curve))
+        assert_oracle(curve, pts, distance_to_boundary(curve, pts))
+
+    def test_perfbench_curves(self):
+        # resolved curves: one minimum per bracket, so the oracle's value
+        assert len(PERFBENCH) >= 40
+        for curve, pts in PERFBENCH:
+            assert np.max(np.abs(distance_to_boundary(curve, pts)
+                                 - golden_distance(curve, pts))) <= TOL
+
+    def test_node_at_a_local_maximum(self):
+        # beyond the evolute on the major axis the vertex node is a local
+        # maximum of the distance (g = 0, g' < 0); the minima lie off axis
+        ellipse = make_ellipse((0, 0), 1.5, 0.3, 64)
+        cusp = (1.5**2 - 0.3**2) / 1.5
+        pts = np.array([[cusp - dx, 0.0] for dx in (2e-4, 1e-3, 1.5e-3)]
+                       + [[-cusp + 1e-3, 0.0]])
+        d = distance_to_boundary(ellipse, pts)
+        for p, got in zip(pts, d):
+            node_d = np.hypot(*(ellipse.nodes - p).T)
+            assert np.argmin(node_d) in (0, ellipse.n // 2)
+            assert got < np.min(node_d)
+            assert abs(got - min(bracket_minima(ellipse, p))) <= TOL
+
+    def test_flat_minima(self):
+        # at a vertex's centre of curvature the distance is quartic in t,
+        # and at the centre of a circular ellipse it is constant
+        ellipse = make_ellipse((0.1, -0.2), 1.5, 0.3, 64)
+        cusp = ellipse.center + ((1.5**2 - 0.3**2) / 1.5, 0.0)
+        pts = np.array([cusp, cusp + (1e-8, 7e-9), cusp + (-1e-5, 0.0)])
+        assert_oracle(ellipse, pts, distance_to_boundary(ellipse, pts))
+        round_ellipse = make_ellipse((0.0, 0.0), 0.3, 0.3, 32)
+        assert distance_to_boundary(round_ellipse, (0.0, 0.0)) \
+            == pytest.approx(0.3, abs=TOL)
+
+
+# ---------------------------------------------------------------------------
 # work counts: one search per query batch, not per point
 # ---------------------------------------------------------------------------
 
-# evaluations of one batched search: two to seed the brackets, then at
-# most one per golden-section iteration
-EVALS_PER_BATCH = 2 + 80
+# curve evaluations of one batched search, each giving q, q' and q'' for
+# every row still running
+EVALS_PER_BATCH = 10
 
 
 @pytest.fixture
 def eval_counter(monkeypatch):
     calls = []
-    original = geometry._eval_point
+    original = geometry._eval_jet
 
     def counting(*args):
         calls.append(len(args[-1]))
         return original(*args)
 
-    monkeypatch.setattr(geometry, "_eval_point", counting)
+    monkeypatch.setattr(geometry, "_eval_jet", counting)
     return calls
 
 
@@ -355,8 +458,8 @@ class TestWorkCounts:
         scene = InclusionScene(outer, make_star((0.1, 0), 0.5, [(3, 0.1)], 128))
         eval_counter.clear()
         build_scene_operators(scene)
-        # the correction and its gradient share one point set: one guard
-        assert 0 < len(eval_counter) <= 1 * EVALS_PER_BATCH
+        # the scene's locate of the inclusion nodes serves the kernel's guard
+        assert eval_counter == []
 
     def test_hausdorff_of_two_stars(self, eval_counter):
         a = make_star((0, 0), 1.0, [(3, 0.2)], 128)
@@ -366,3 +469,26 @@ class TestWorkCounts:
         assert d > 0
         # one batch per direction
         assert 0 < len(eval_counter) <= 2 * EVALS_PER_BATCH
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_hypothesis_curves(self, data):
+        curve = data.draw(curves())
+        pts = data.draw(probe_points(curve))
+        assert evaluations(curve, pts) <= EVALS_PER_BATCH
+
+    def test_perfbench_curves(self):
+        for curve, pts in PERFBENCH:
+            assert 0 < evaluations(curve, pts) <= EVALS_PER_BATCH
+
+
+def evaluations(curve, pts) -> int:
+    """Curve evaluations of one batched distance call."""
+    calls = []
+    original = geometry._eval_jet
+    geometry._eval_jet = lambda *args: calls.append(args) or original(*args)
+    try:
+        distance_to_boundary(curve, pts)
+    finally:
+        geometry._eval_jet = original
+    return len(calls)

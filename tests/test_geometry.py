@@ -16,7 +16,7 @@ from npeit.geometry import (
     BoundaryCurve,
     InclusionScene,
     RegionWithHole,
-    _eval_derivative,
+    _eval_jet,
     curve_spec_string,
     distance_to_boundary,
     hausdorff_distance,
@@ -47,7 +47,7 @@ STAR_3_02_AREA = math.pi * (1.0 + 0.5 * 0.04)
 def signed_area(curve) -> float:
     """Enclosed area via the shoelace integral ``0.5 * oint q x q'``."""
     q = curve.nodes - curve.center
-    qp = _eval_derivative(curve.kind, curve.center, curve.params, curve.t)
+    qp = _eval_jet(curve.kind, curve.center, curve.params, curve.t)[1]
     cross = q[:, 0] * qp[:, 1] - q[:, 1] * qp[:, 0]
     return float(0.5 * np.sum(cross) * (2.0 * np.pi / curve.n))
 

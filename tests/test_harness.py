@@ -37,6 +37,7 @@ from npeit.experiments import (EXPANSION_HEADER, ORACLE_HEADER,
                                run_expansion, run_oracle_check,
                                run_spectrum, run_stability, run_sweep,
                                triple_log_reference)
+from npeit.layers import SceneOperators
 from npeit.spectrum import solve_spectrum
 
 MINI_SCENE = """
@@ -509,15 +510,25 @@ class TestResultRetention:
     def test_stored_gram_is_the_per_call_gram(self, tmp_path, monkeypatch,
                                              path):
         config = load_config(path) if path else parse_config(ELLIPSE_STAR)
-        kept = []
-        real = experiments.build_operators
+        kept, grams = [], []
+        real, energy = experiments.build_operators, SceneOperators.energy
         monkeypatch.setattr(experiments, "build_operators",
                             lambda *a: kept.append(real(*a)) or kept[-1])
+        monkeypatch.setattr(SceneOperators, "energy",
+                            lambda *a: grams.append(a) or energy(*a))
         selected = run_spectrum(config, tmp_path)
+        assert len(grams) == 1  # one Gram per run
         (ops,) = kept
-        for spectrum in (selected, solve_spectrum(ops, config.n_modes)):
-            expect = fresh_gram(spectrum.modes, ops)
+        full = solve_spectrum(ops, config.n_modes)
+        # the selected modes' Gram is the sub-block of the solve's Gram
+        position = {(m.family, m.index): i for i, m in enumerate(full.modes)}
+        idx = [position[m.family, m.index] for m in selected.modes]
+        for spectrum, expect in (
+                (full, fresh_gram(full.modes, ops)),
+                (selected, full.gram()[np.ix_(idx, idx)])):
             assert np.array_equal(spectrum.gram(), expect)
+            assert np.max(np.abs(spectrum.gram() - fresh_gram(
+                spectrum.modes, ops))) <= 1e-13
             assert not spectrum.gram().flags.writeable
             assert spectrum.orthogonality_defect() == float(
                 np.max(np.abs(expect - np.eye(len(spectrum.modes)))))

@@ -10,8 +10,9 @@ inclusion's blocks in one call.  Pinned behavior:
     ``free_single_layer_gradient``) to 1e-13 relative, on both kernels, on
     ellipse and star outers, and on ``NumericGreen`` of a circle against
     the closed form;
-  * the work counts on ``NumericGreen``: one domain guard, one Neumann
-    solve with the inclusion's n columns, and two pair tables (the
+  * the work counts on ``NumericGreen``: one domain guard, one ``locate``
+    of the inclusion nodes (the scene's, which the guard reads), one
+    Neumann solve with the inclusion's n columns, and two pair tables (the
     inclusion's own and the outer x inclusion one);
   * the outer x inclusion table is released before that solve, which
     then holds three outer x inclusion arrays (values, flux and the
@@ -28,7 +29,8 @@ import pytest
 from npeit import experiments, green as green_module, quadrature
 from npeit.config import parse_config
 from npeit.experiments import run_stability
-from npeit.geometry import InclusionScene, make_circle, make_ellipse, make_star
+from npeit.geometry import (BoundaryCurve, InclusionScene, make_circle,
+                            make_ellipse, make_star)
 from npeit.green import DiskGreen, InteriorNeumannSolver, NumericGreen
 from npeit.layers import build_scene_operators
 from npeit.quadrature import (free_self_matrices, free_single_layer_eval,
@@ -91,7 +93,7 @@ def test_numeric_kernel_on_a_circle_matches_the_closed_form():
 
 def test_numeric_build_work_counts(monkeypatch):
     outer = OUTERS["ellipse"]
-    counts = {"guard": 0, "table": 0}
+    counts = {"guard": 0, "locate": 0, "table": 0}
     solves = []
 
     def counting(name, fn):
@@ -109,13 +111,15 @@ def test_numeric_build_work_counts(monkeypatch):
     monkeypatch.setattr(InteriorNeumannSolver, "solve", counting_solve)
     monkeypatch.setattr(NumericGreen, "_require",
                         counting("guard", NumericGreen._require))
+    monkeypatch.setattr(BoundaryCurve, "locate",
+                        counting("locate", BoundaryCurve.locate))
     table = counting("table", quadrature.pair_table)
     monkeypatch.setattr(quadrature, "pair_table", table)
     monkeypatch.setattr(green_module, "pair_table", table)
     ops = build_scene_operators(InclusionScene(outer, INCLUSION), green)
     ops.outer_trace_matrix, ops.background_maps  # from the build's table
     assert solves == [(outer.n, INCLUSION.n)]
-    assert counts == {"guard": 1, "table": 2}
+    assert counts == {"guard": 1, "locate": 1, "table": 2}
 
 
 def test_neumann_solve_holds_no_outer_table(monkeypatch):
