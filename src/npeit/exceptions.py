@@ -9,13 +9,8 @@ node count) has to change.
 from __future__ import annotations
 
 __all__ = [
-    "CurveError",
-    "IndeterminatePointError",
-    "SeparationError",
-    "EvaluationDomainError",
-    "ConditioningError",
-    "SolverError",
-    "ConfigError",
+    "CurveError", "IndeterminatePointError", "SeparationError",
+    "EvaluationDomainError", "ConditioningError", "SolverError", "ConfigError",
 ]
 
 

@@ -35,24 +35,11 @@ from .transmission import (ExpansionResult, expansion_coefficients,
                            trace_distance)
 
 __all__ = [
-    "SWEEP_HEADER",
-    "STABILITY_HEADER",
-    "SPECTRUM_HEADER",
-    "EXPANSION_HEADER",
-    "ORACLE_HEADER",
-    "TRIPLE_LOG_THRESHOLD",
-    "SweepResult",
-    "StabilityRow",
-    "blas_threads",
-    "build_operators",
-    "format_number",
-    "rank_correlation",
-    "run_expansion",
-    "run_oracle_check",
-    "run_spectrum",
-    "run_stability",
-    "run_sweep",
-    "triple_log_reference",
+    "SWEEP_HEADER", "STABILITY_HEADER", "SPECTRUM_HEADER", "EXPANSION_HEADER",
+    "ORACLE_HEADER", "TRIPLE_LOG_THRESHOLD", "SweepResult", "StabilityRow",
+    "blas_threads", "build_operators", "format_number", "rank_correlation",
+    "run_expansion", "run_oracle_check", "run_spectrum", "run_stability",
+    "run_sweep", "triple_log_reference",
 ]
 
 log = logging.getLogger("npeit.experiments")
@@ -198,9 +185,6 @@ def run_sweep(config: ExperimentConfig, out_dir) -> SweepResult:
 # spectrum and expansion reports
 # ---------------------------------------------------------------------------
 
-_FAMILY_RANK = {"+": 0, "-": 1, "0": 2}
-
-
 @_one_blas_thread
 def run_spectrum(config: ExperimentConfig, out_dir) -> NPSpectrum:
     """Report the leading ``n_modes`` eigenpairs (largest ``|lambda|``
@@ -209,7 +193,7 @@ def run_spectrum(config: ExperimentConfig, out_dir) -> NPSpectrum:
     spectrum = solve_spectrum(ops, config.n_modes)
     ranked = sorted(
         spectrum.modes,
-        key=lambda m: (-abs(m.lam), _FAMILY_RANK[m.family], m.index))
+        key=lambda m: (-abs(m.lam), m.family == "-", m.index))
     keep = {id(m) for m in ranked[:config.n_modes]}
     idx = [i for i, m in enumerate(spectrum.modes) if id(m) in keep]
     selected = [spectrum.modes[i] for i in idx]

@@ -34,17 +34,9 @@ from .curvespec import curve_spec_string
 from .exceptions import CurveError, IndeterminatePointError, SeparationError
 
 __all__ = [
-    "BoundaryCurve",
-    "RegionWithHole",
-    "InclusionScene",
-    "make_circle",
-    "make_ellipse",
-    "make_star",
-    "parse_curve_spec",
-    "curve_spec_string",
-    "distance_to_boundary",
-    "region_distance",
-    "hausdorff_distance",
+    "BoundaryCurve", "RegionWithHole", "InclusionScene", "make_circle",
+    "make_ellipse", "make_star", "parse_curve_spec", "curve_spec_string",
+    "distance_to_boundary", "region_distance", "hausdorff_distance",
     "modified_distance",
 ]
 
@@ -260,10 +252,11 @@ def distance_to_boundary(curve: BoundaryCurve, x):
     """Distance from a point, or per row of a ``(P, 2)`` array, to the curve.
 
     Exact for circles; for other kinds a safeguarded Newton iteration on
-    the exact parameterization refines the nearest node, so the result is
-    limited only by local-minimum bracketing (adequate for the smooth,
-    mildly perturbed curves used here).  All rows are refined at once, and
-    each stops on its own: a row's distance is the same alone or in a batch.
+    the exact parameterization refines the nearest node, or on a coarse
+    grid the nearest of finer samples over its neighbours' brackets, so
+    the result is limited only by local-minimum bracketing.  All rows are
+    refined at once, and each stops on its own: a row's distance is the
+    same alone or in a batch.
     """
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, 2)
@@ -282,11 +275,23 @@ def _newton_distance(curve: BoundaryCurve, pts) -> np.ndarray:
     # descends.  Where g' <= 0 (a node can be a local maximum of f) the step
     # goes to the minimum of f + 2 g s + g' s^2 + c s^4 through f at the
     # bracket end, else halfway; a row stops once g^2/g' < f's last bit.
+    # Where the spacing exceeds half the radius of curvature at the node or
+    # a neighbour, a bracket can hold two minima: such a row starts from the
+    # least of 8 samples per spacing over the neighbours' brackets too.
     fn = (curve.nodes[:, 0] - pts[:, 0, None]) ** 2 \
         + (curve.nodes[:, 1] - pts[:, 1, None]) ** 2
-    i, live = np.argmin(fn, axis=1), np.arange(len(pts))
-    t, h, out = curve.t[i], 2.0 * np.pi / curve.n, np.empty(len(pts))
-    lo, hi, f_lo, f_hi = t - h, t + h, fn[live, i - 1], fn[live, (i + 1) % curve.n]
+    i, live, n = np.argmin(fn, axis=1), np.arange(len(pts)), curve.n
+    t, h, out = curve.t[i], 2.0 * np.pi / n, np.empty(len(pts))
+    lo, hi, f_lo, f_hi = t - h, t + h, fn[live, i - 1], fn[live, (i + 1) % n]
+    bend = 2.0 * h * curve.speed * np.abs(curve.curvature) > 1.0
+    coarse = np.flatnonzero(bend[i] | bend[i - 1] | bend[(i + 1) % n])
+    if len(coarse):
+        ts = t[coarse, None] + h / 8.0 * np.arange(-16, 17)
+        qs = _eval_jet(curve.kind, curve.center, curve.params, ts.ravel())[0]
+        fs = ((qs.reshape(*ts.shape, 2) - pts[coarse, None]) ** 2).sum(axis=2)
+        j, c = np.clip(np.argmin(fs, axis=1), 1, 31), np.arange(len(coarse))
+        t[coarse], lo[coarse], hi[coarse] = ts[c, j], ts[c, j - 1], ts[c, j + 1]
+        f_lo[coarse], f_hi[coarse] = fs[c, j - 1], fs[c, j + 1]
     for _ in range(40):
         q, q1, q2 = _eval_jet(curve.kind, curve.center, curve.params, t)
         r = q - pts

@@ -13,21 +13,15 @@ Splitting off the free-space part,
     ``N(x, y) = ln|x - y|/(2 pi) + R(x, y)``,
 
 leaves a correction ``R`` that is smooth and harmonic in both arguments
-throughout the domain and symmetric.  Two constructions are provided:
-
-* :class:`DiskGreen` -- closed form for a circular outer boundary via the
-  reflected-point formula, written in a form that stays stable as the
-  source approaches the center;
-* :class:`NumericGreen` -- any smooth outer boundary; the correction is
-  produced per source point by an interior Neumann solve on the outer
-  curve (single-layer representation, bordered system fixing the additive
-  constant), so its accuracy is spectral in the outer grid.
-
+throughout the domain and symmetric.  :class:`DiskGreen` gives it in
+closed form on a circle; :class:`NumericGreen` by an interior Neumann
+solve on any smooth outer curve, spectrally accurate in the outer grid.
 Both expose the same small surface: per point set, kernel and correction
-values, the correction gradient in the first argument and the kernel
-trace on the outer nodes, with nothing cached; per operator set,
-``inclusion_blocks`` (``R`` and its normal derivative on the inclusion
-nodes) and ``outer_maps`` (one outer x inclusion table); one ``neumann``.
+values and the correction gradient in the first argument, with nothing
+cached; per operator set, ``inclusion_blocks`` (``R`` and its normal
+derivative on the inclusion nodes) and ``outer_maps`` (one outer x
+inclusion table); one interior Neumann solver of the outer curve,
+``neumann``, in closed form on the circle.
 """
 
 from __future__ import annotations
@@ -39,20 +33,12 @@ import scipy.linalg
 
 from .exceptions import ConditioningError, EvaluationDomainError
 from .geometry import BoundaryCurve
-from .quadrature import (
-    flux_kernel,
-    free_self_matrices,
-    free_single_layer_eval,
-    free_single_layer_gradient,
-    log_kernel,
-    pair_table,
-)
+from .quadrature import (flux_kernel, free_self_matrices,
+                         free_single_layer_eval, free_single_layer_gradient,
+                         log_kernel, pair_table)
 
 __all__ = [
-    "InteriorNeumannSolver",
-    "DiskGreen",
-    "NumericGreen",
-    "make_green",
+    "InteriorNeumannSolver", "DiskGreen", "NumericGreen", "make_green",
 ]
 
 # trapezoidal evaluation of smooth layer kernels degrades closer to the
@@ -84,8 +70,8 @@ class DiskGreen:
         self.radius = float(outer.params[0])
 
     @cached_property
-    def neumann(self) -> InteriorNeumannSolver:  # built on first use
-        return InteriorNeumannSolver(self.outer)
+    def neumann(self) -> DiskNeumannSolver:  # built on first use
+        return DiskNeumannSolver(self.outer)
 
     def _require(self, pts, what):
         rho = np.hypot(*(pts - self.center).T)
@@ -120,12 +106,6 @@ class DiskGreen:
         """``N(x_i, y_j)`` for distinct point sets."""
         return log_kernel(pair_table(_points(x), _points(y))[0]) \
             + self.correction(x, y)
-
-    def outer_trace_kernel(self, y) -> np.ndarray:
-        """``N(x_i, y_j)`` with ``x_i`` the outer-boundary nodes."""
-        y = _points(y)
-        self._require(y, "source points")
-        return self._trace(*self._outer_table(y)[:2])[0]
 
     def outer_maps(self, curve: BoundaryCurve):
         """From one outer x inclusion table: the free outer layer's values
@@ -163,15 +143,52 @@ class DiskGreen:
         ynorm = np.hypot(yh[:, 0], yh[:, 1])
         yunit = yh / np.maximum(ynorm, 1e-300)[:, None]
         v = xh[:, None, :] * ynorm[None, :, None] - yunit[None, :, :]
-        vnorm = np.hypot(v[..., 0], v[..., 1])
+        v2 = np.einsum("...i,...i->...", v, v)
         # sources at the center: the reflected term drops out entirely
         at_center = ynorm < 1e-14
-        vnorm[:, at_center] = 1.0
+        v2[:, at_center] = 1.0
         v[:, at_center, :] = 0.0
-        scale = ynorm[None, :] / (self.radius * 2.0 * np.pi * vnorm**2)
+        scale = ynorm[None, :] / (self.radius * 2.0 * np.pi * v2)
         grad = v * scale[..., None] if nu is None else \
             (v[..., 0] * nu[..., 0] + v[..., 1] * nu[..., 1]) * scale
-        return (np.log(vnorm) - np.log(self.radius)) / (2.0 * np.pi), grad
+        return (0.5 * np.log(v2) - np.log(self.radius)) / (2.0 * np.pi), grad
+
+
+def _mean_free(outer: BoundaryCurve, flux_values) -> np.ndarray:
+    # Neumann data as columns; ConditioningError unless each is mean-free
+    flux = np.atleast_2d(np.asarray(flux_values, dtype=float).T).T
+    means = outer.mean(flux)
+    if np.max(np.abs(means)) > 1e-8 * max(1.0, np.max(np.abs(flux))):
+        raise ConditioningError(
+            "interior Neumann data is not mean-free (max mean "
+            f"{np.max(np.abs(means)):.3e}); the problem is incompatible")
+    return flux
+
+
+class DiskNeumannSolver:
+    """:class:`InteriorNeumannSolver` on a circle, in closed form: the free
+    ``K*`` of radius ``rho`` is the constant ``1/(4 pi rho)``, zero on
+    mean-free densities, so a mean-free flux ``h`` has ``psi = -2 h`` and
+    no compatibility defect.  The trace of its single layer is the Nystrom
+    rule's own Fourier symbol, by ``rfft``: ``rho ln rho`` at ``m = 0``,
+    ``-rho/(2|m|)`` for ``0 < |m| < n/2`` and ``-rho/n`` at ``n/2``."""
+
+    def __init__(self, outer: BoundaryCurve):
+        self.outer, self.length = outer, outer.length()
+        rho, n = float(outer.params[0]), outer.n
+        self.symbol = -rho / (2.0 * np.maximum(np.arange(n // 2 + 1), 1))
+        self.symbol[0], self.symbol[-1] = rho * np.log(rho), -rho / n
+
+    def solve(self, flux_values: np.ndarray):
+        """``(psi, border_residuals)``: ``-2 h`` per column ``h``, zeros."""
+        flux = _mean_free(self.outer, flux_values)
+        return -2.0 * flux, np.zeros(flux.shape[1])
+
+    def trace(self, psi: np.ndarray) -> np.ndarray:
+        """Outer-node trace of the single layer of ``psi`` (or columns)."""
+        coeffs = np.fft.rfft(psi, axis=0)
+        coeffs *= self.symbol.reshape((-1,) + (1,) * (np.ndim(psi) - 1))
+        return np.fft.irfft(coeffs, self.outer.n, axis=0)
 
 
 class InteriorNeumannSolver:
@@ -188,7 +205,8 @@ class InteriorNeumannSolver:
     kernel directions; the border both regularizes the rank-one
     deficiency and pins the mean of the density.  The border unknown
     reports the compatibility defect of the data and stays at roundoff
-    for mean-free fluxes.
+    for mean-free fluxes.  :class:`NumericGreen` solves with it; on a
+    circle :class:`DiskNeumannSolver` is the closed form.
     """
 
     def __init__(self, outer: BoundaryCurve):
@@ -209,18 +227,16 @@ class InteriorNeumannSolver:
         """Density columns ``psi`` whose interior-side single-layer flux
         matches each mean-free column of ``flux_values`` on the curve
         nodes.  Returns ``(psi, border_residuals)``."""
-        flux = np.atleast_2d(np.asarray(flux_values, dtype=float).T).T
-        means = self.outer.mean(flux)
-        if np.max(np.abs(means)) > 1e-8 * max(1.0, np.max(np.abs(flux))):
-            raise ConditioningError(
-                "interior Neumann data is not mean-free (max mean "
-                f"{np.max(np.abs(means)):.3e}); the problem is incompatible"
-            )
+        flux = _mean_free(self.outer, flux_values)
         rhs = np.zeros((self.outer.n + 1, flux.shape[1]))
         np.multiply(self.sqrt_w[:, None], flux, out=rhs[:-1])
         sol = scipy.linalg.lu_solve(self._lu, rhs, overwrite_b=True)
         psi = sol[:-1] / self.sqrt_w[:, None]
         return psi, sol[-1]
+
+    def trace(self, psi: np.ndarray) -> np.ndarray:
+        """Outer-node trace of the single layer of ``psi``."""
+        return self.s_self @ psi
 
 
 class NumericGreen:
@@ -230,9 +246,7 @@ class NumericGreen:
     harmonic function with outer Neumann data
     ``1/|bd Omega| - d/dnu ln|x - y|/(2 pi)`` (mean-free by the flux
     theorem), represented as a free single layer on the outer curve plus
-    a constant fixed by the zero-boundary-mean normalization; see
-    :class:`InteriorNeumannSolver` for the solve.  Accuracy is spectral
-    in the outer grid.
+    a constant fixed by the zero-boundary-mean normalization.
     """
 
     def __init__(self, outer: BoundaryCurve):
@@ -278,7 +292,7 @@ class NumericGreen:
                 "outer Neumann solve left a large compatibility defect "
                 f"({np.max(np.abs(borders)):.3e}); refine the outer grid"
             )
-        trace = neumann.s_self @ psi
+        trace = neumann.trace(psi)
         const = -(outer.weights @ logs + outer.weights @ trace) / neumann.length
         trace += logs
         trace += const
@@ -307,7 +321,6 @@ class NumericGreen:
         return np.moveaxis(grad @ psi, 0, 2)
 
     kernel = DiskGreen.kernel  # the free logarithm plus this correction
-    outer_trace_kernel = DiskGreen.outer_trace_kernel
     outer_maps = DiskGreen.outer_maps
     _outer_table = DiskGreen._outer_table
 

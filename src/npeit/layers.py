@@ -45,12 +45,14 @@ from .green import _EVAL_MARGIN_SPACINGS, make_green
 from .quadrature import free_self_matrices, free_single_layer_gradient
 
 __all__ = [
-    "SceneOperators",
-    "build_scene_operators",
-    "PotentialField",
+    "SceneOperators", "build_scene_operators", "PotentialField",
 ]
 
 log = logging.getLogger(__name__)
+
+# the pencil's roundoff level per sqrt(n) (it drops pairs under half of
+# it), its first block of probes, and the fresh probes and spare pairs
+_ROUNDOFF_LEVEL, _FIRST_BLOCK, _PROBES = 1e-15, 112, 8
 
 
 @dataclass
@@ -137,17 +139,42 @@ class SceneOperators:
 
     @cached_property
     def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        # all pairs of sym(E K*) g = mu E g on nodal values, ascending
-        a = self.energy_matrix @ self.kstar_plain
-        a = 0.5 * (a + a.T)  # exactly symmetric: its F-ordered view is overwritten
-        return scipy.linalg.eigh(a.T, self.energy_matrix, overwrite_a=True)
+        # resolved pairs of sym(E K*) g = mu E g, ascending (mu = 1/2 last):
+        # K* on a block of seeded probes and a QR give a basis Q, K* on Q the
+        # Rayleigh-Ritz pencil (Q^T E K* Q, Q^T E Q).  The block doubles
+        # until it holds spare pairs at roundoff and K* is at the level on
+        # fresh probes E-orthogonal to its Ritz vectors; past n/2, Q = I
+        kstar, e = self.kstar_plain, self.energy_matrix
+        n, size, rng = len(e), _FIRST_BLOCK, np.random.default_rng(0)
+        level = _ROUNDOFF_LEVEL * np.sqrt(n)
+        while True:
+            full = 2 * size > n
+            q = None if full else scipy.linalg.qr(
+                kstar @ rng.standard_normal((n, size)), mode="economic")[0]
+            eq, kq = (e, kstar) if full else (e @ q, kstar @ q)
+            a = (e if full else eq.T) @ kq
+            a = 0.5 * (a + a.T)  # exactly symmetric: its F-ordered view is overwritten
+            mu, v = scipy.linalg.eigh(a.T, e if full else q.T @ eq,
+                                      overwrite_a=True)
+            g, keep = v if full else q @ v, np.abs(mu) > 0.5 * level
+            if full:
+                return mu[keep], g[:, keep]
+            fresh = rng.standard_normal((n, _PROBES))
+            fresh -= g @ ((eq @ v).T @ fresh)
+            k_fresh = kstar @ fresh
+            if np.count_nonzero(keep) <= size - _PROBES and np.all(
+                    np.sum(k_fresh * (e @ k_fresh), axis=0)
+                    <= level**2 * np.sum(fresh * (e @ fresh), axis=0)):
+                return mu[keep], g[:, keep]
+            size *= 2
 
     @cached_property
     def pencil(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(mu, G)``: eigenvalues and nodal eigendensities of ``K*`` on
-        mean-free densities, the pencil's pairs less its top one, the
-        equilibrium ``mu = 1/2``; ``G`` is ``E``-orthonormal and
-        weighted-mean-free: ``r = G energy(G, r)`` for mean-free ``r``."""
+        """``(mu, G)``: the resolved eigenvalues of ``K*`` on mean-free
+        densities (``|mu|`` above roundoff) and their ``E``-orthonormal,
+        weighted-mean-free nodal eigendensities, less the equilibrium
+        ``mu = 1/2``; on the ``E``-complement of both, ``K*`` is zero to
+        roundoff."""
         return self._eigenpairs[0][:-1], self._eigenpairs[1][:, :-1]
 
     @property

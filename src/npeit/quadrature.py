@@ -25,12 +25,8 @@ import numpy as np
 from .geometry import BoundaryCurve
 
 __all__ = [
-    "log_weights",
-    "pair_table",
-    "log_kernel",
-    "flux_kernel",
-    "free_self_matrices",
-    "free_single_layer_eval",
+    "log_weights", "pair_table", "log_kernel", "flux_kernel",
+    "free_self_matrices", "free_single_layer_eval",
     "free_single_layer_gradient",
 ]
 
@@ -66,12 +62,17 @@ def pair_table(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Displacements ``x_p - y_j`` of two point sets, shape ``(P, J, 2)``,
     and ``2 pi |x_p - y_j|^2``: the one pairwise table the kernels read."""
     dx = x[:, None, :] - y[None, :, :]
-    return dx, 2.0 * np.pi * (dx[..., 0] ** 2 + dx[..., 1] ** 2)
+    r2pi = np.einsum("...i,...i->...", dx, dx)  # one new array, no hypot
+    r2pi *= 2.0 * np.pi
+    return dx, r2pi
 
 
 def log_kernel(dx: np.ndarray) -> np.ndarray:
     """``ln|x - y| / (2 pi)`` on a displacement table."""
-    return np.log(np.hypot(dx[..., 0], dx[..., 1])) / (2.0 * np.pi)
+    logs = np.einsum("...i,...i->...", dx, dx)
+    np.log(logs, out=logs)
+    logs /= 4.0 * np.pi
+    return logs
 
 
 def flux_kernel(dx: np.ndarray, r2pi: np.ndarray, nu=None) -> np.ndarray:
@@ -95,14 +96,13 @@ def free_self_matrices(curve: BoundaryCurve) -> tuple[np.ndarray, np.ndarray]:
     dx, r2pi = pair_table(curve.nodes, curve.nodes)
     with np.errstate(divide="ignore", invalid="ignore"):
         kstar = flux_kernel(dx, r2pi, curve.normals[:, None])
-        del r2pi
-        s = np.hypot(dx[..., 0], dx[..., 1])
         del dx
-        s /= 2.0 * np.abs(np.sin(0.5 * (t[:, None] - t[None, :])))
-    np.log(s, out=s)  # the smooth remainder M
-    np.fill_diagonal(s, np.log(curve.speed))
+        s = r2pi  # 2 pi |x - y|^2, over 2 pi (2 sin((t - s)/2))^2
+        s /= 8.0 * np.pi * np.sin(0.5 * (t[:, None] - t[None, :])) ** 2
+    np.log(s, out=s)  # twice the smooth remainder M
+    np.fill_diagonal(s, 2.0 * np.log(curve.speed))
     np.fill_diagonal(kstar, curve.curvature / (4.0 * np.pi))
-    s /= n
+    s /= 2.0 * n
     s += 0.5 * log_weights(n)[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
     s *= curve.speed[None, :]
     kstar *= curve.weights[None, :]

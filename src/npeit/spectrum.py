@@ -3,14 +3,14 @@ geometry.
 
 The flux-average operator ``K*`` is self-adjoint in the energy form, the
 operator set's matrix ``E``, so ``K* g = mu g`` is the symmetric-definite
-pencil ``sym(E K*) g = mu E g``.  ``SceneOperators.pencil`` solves it on
-all nodal values and drops the equilibrium pair ``mu = 1/2``; the other,
-mean-free eigendensities are ``E``-orthonormal (their potentials have
-unit gradient energy), and each carries the spectral value in two forms:
-the operator eigenvalue ``mu`` and the energy ratio ``lambda = -2 mu``,
-which equals the Rayleigh quotient of the interior-minus-exterior energy
-difference and is the quantity whose sign splits the spectrum into
-families.
+pencil ``sym(E K*) g = mu E g``.  ``SceneOperators.pencil`` resolves its
+pairs above roundoff and drops the equilibrium pair ``mu = 1/2``; the
+other, mean-free eigendensities are ``E``-orthonormal (their potentials
+have unit gradient energy), and each carries the spectral value in two
+forms: the operator eigenvalue ``mu`` and the energy ratio
+``lambda = -2 mu``, which equals the Rayleigh quotient of the
+interior-minus-exterior energy difference and is the quantity whose sign
+splits the spectrum into families.
 """
 
 from __future__ import annotations
@@ -23,16 +23,10 @@ import numpy as np
 from .layers import SceneOperators
 
 __all__ = [
-    "SpectralMode",
-    "NPSpectrum",
-    "solve_spectrum",
+    "SpectralMode", "NPSpectrum", "solve_spectrum",
 ]
 
 log = logging.getLogger(__name__)
-
-# energy ratios below this magnitude are treated as numerically zero and
-# assigned to the null family
-_FAMILY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,10 +50,11 @@ class SpectralMode:
 class NPSpectrum:
     """Ordered collection of spectral modes for one scene.
 
-    Modes are grouped by family (``+`` then ``-`` then ``0``) and sorted
-    by decreasing ``|lambda|`` within each family; ``index`` counts within
-    the family starting from 1.  The modes' energy Gram matrix is formed
-    once on ``ops`` (or given) and kept read-only; ``ops`` is not kept.
+    Modes are grouped by family (``+`` then ``-``, the sign of ``lambda``:
+    every resolved eigenvalue is above roundoff) and sorted by decreasing
+    ``|lambda|`` within each family; ``index`` counts within the family
+    starting from 1.  The modes' energy Gram matrix is formed once on
+    ``ops`` (or given) and kept read-only; ``ops`` is not kept.
     """
 
     def __init__(self, modes: list[SpectralMode], ops: SceneOperators | None = None,
@@ -120,16 +115,17 @@ def solve_spectrum(ops: SceneOperators, n_modes: int | None = None) -> NPSpectru
     mu_vals, g_all = ops.pencil  # S-orthonormal eigendensities
 
     lam_vals = -2.0 * mu_vals
-    family = np.where(lam_vals > _FAMILY_TOL, "+",
-                      np.where(lam_vals < -_FAMILY_TOL, "-", "0"))
+    family = np.where(lam_vals > 0.0, "+", "-")  # every resolved |mu| > 0
     ranked = np.argsort(-np.abs(lam_vals), kind="stable")
-    kept = [(fam, rank, i) for fam in "+-0" for rank, i in
+    kept = [(fam, rank, i) for fam in "+-" for rank, i in
             enumerate(ranked[family[ranked] == fam][:n_modes], start=1)]
     idx = [i for _, _, i in kept]
     g = _fix_sign(g_all[:, idx])
-    # residuals K* G - G diag(mu) as one block; energies in one more product
-    resid = ops.flux_average(g) - g * mu_vals[idx]
-    resid = np.sum(resid * (ops.energy_matrix @ resid), axis=0)
+    # residuals K* G - G diag(mu) over every resolved pair as one block, so
+    # that a mode's bits do not depend on how many are kept (a sign flip
+    # is exact); energies in one more product
+    resid = ops.flux_average(g_all) - g_all * mu_vals
+    resid = np.sum(resid * (ops.energy_matrix @ resid), axis=0)[idx]
     modes = [SpectralMode(index=rank, family=fam, mu=float(mu_vals[i]),
                           lam=float(lam_vals[i]), density=g[:, c].copy(),
                           residual=float(np.sqrt(max(resid[c], 0.0))))

@@ -39,19 +39,10 @@ from .quadrature import free_single_layer_eval, free_single_layer_gradient
 from .spectrum import NPSpectrum
 
 __all__ = [
-    "BackgroundField",
-    "solve_background",
-    "TransmissionSolution",
-    "solve_transmission",
-    "LimitSolution",
-    "solve_limit",
-    "trace_distance",
-    "trace_constant",
-    "gradient_bound",
-    "derivative_ladder",
-    "taylor_outer_trace",
-    "ExpansionResult",
-    "expansion_coefficients",
+    "BackgroundField", "solve_background", "TransmissionSolution",
+    "solve_transmission", "LimitSolution", "solve_limit", "trace_distance",
+    "trace_constant", "gradient_bound", "derivative_ladder",
+    "taylor_outer_trace", "ExpansionResult", "expansion_coefficients",
 ]
 
 log = logging.getLogger(__name__)
@@ -113,7 +104,7 @@ def solve_background(ops: SceneOperators, f: np.ndarray) -> BackgroundField:
             f"background solve compatibility defect {float(np.max(np.abs(border))):.3e}"
         )
     psi = psi.reshape(h.shape)
-    raw_trace = ops.green.neumann.s_self @ psi
+    raw_trace = ops.green.neumann.trace(psi)
     constant = -outer.mean(raw_trace)
     values_map, flux_map = ops.background_maps
     return BackgroundField(scene=ops.scene, f=h, psi=psi, constant=constant,
@@ -260,12 +251,13 @@ def solve_transmission(ops: SceneOperators, f: np.ndarray,
 
 def _solve_second_kind(ops: SceneOperators, lam,
                        rhs_plain: np.ndarray) -> np.ndarray:
-    """Solve ``(lam I - K*) phi = rhs`` on mean-free densities as the
-    expansion ``phi = sum_j g_j (g_j | S r) / (lam - mu_j)``, ``r`` the
-    mean-free part of ``rhs`` (a vector or columns; ``lam`` one value or
-    one per column, then a vector ``rhs`` is shared).  It assumes that
-    ``K*`` keeps mean-free densities mean-free, true to quadrature
-    accuracy; one refinement step on the residual removes the defect."""
+    """Solve ``(lam I - K*) phi = rhs`` on mean-free densities: with ``r``
+    the mean-free part of ``rhs`` (a vector or columns; ``lam`` one value
+    or one per column, then a vector ``rhs`` is shared), ``phi`` is
+    ``sum_j g_j (g_j | S r) / (lam - mu_j)`` over the resolved pairs plus
+    the rest of ``r`` over ``lam``, where ``K*`` is zero to roundoff.
+    ``K*`` keeps mean-free densities mean-free to quadrature accuracy; one
+    refinement step on the residual removes the defect."""
     mu, g = ops.pencil
     lams = np.reshape(lam, -1)
     gap = lams - mu[:, None]
@@ -276,11 +268,15 @@ def _solve_second_kind(ops: SceneOperators, lam,
     if np.any(gap == 0.0):  # pragma: no cover
         raise SolverError(f"second-kind solve failed at lambda={lam}")
     scale = 1.0 / gap
-    mean = ops.curve.mean
+
+    def resolvent(r):
+        r = r - ops.curve.mean(r)
+        c = ops.energy(g, r)
+        return g @ (scale * c) + (r - g @ c) / lams
+
     rhs = np.reshape(rhs_plain, (len(g), -1))
-    phi = g @ (scale * ops.energy(g, rhs - mean(rhs)))
-    resid = rhs - (lams * phi - ops.flux_average(phi))
-    phi = phi + g @ (scale * ops.energy(g, resid - mean(resid)))
+    phi = resolvent(rhs)
+    phi += resolvent(rhs - (lams * phi - ops.flux_average(phi)))
     return phi.reshape(
         np.shape(rhs_plain) if np.ndim(lam) == 0 else (-1, lams.size))
 

@@ -2,11 +2,14 @@
 use."""
 
 import math
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from npeit.exceptions import CurveError
 from npeit.geometry import BoundaryCurve, make_circle, make_ellipse, make_star
+from npeit.layers import SceneOperators
 from npeit.quadrature import free_self_matrices
 
 
@@ -36,6 +39,53 @@ class HatForms:
 
     def unhat(self, g_hat: np.ndarray) -> np.ndarray:
         return (np.asarray(g_hat).T / self.sqrt_w).T
+
+
+def outer_trace_kernel(green, y) -> np.ndarray:
+    """``N(x_i, y_j)`` with ``x_i`` the outer-boundary nodes, for sources
+    ``y`` strictly inside: the kernel's own outer table and trace, behind
+    its source guard (the kernels' former ``outer_trace_kernel``)."""
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    green._require(y, "source points")
+    return green._trace(*green._outer_table(y)[:2])[0]
+
+
+def full_pencil(ops):
+    """``sym(E K*) g = mu E g`` on all nodal values by one dense generalized
+    ``eigh``, ascending, the equilibrium ``mu = 1/2`` last: every pair,
+    roundoff ones included.  This was the package's pencil before it
+    resolved only the pairs above roundoff; it stays as the oracle."""
+    a = ops.energy_matrix @ ops.kstar_plain
+    return scipy.linalg.eigh(0.5 * (a + a.T), ops.energy_matrix)
+
+
+def record_pencils(monkeypatch) -> dict:
+    """While ``monkeypatch`` holds, record each operator set whose pencil is
+    solved (``"pencils"``), the size of every generalized scipy ``eigh``
+    (``"generalized"``) and that of every standard ``eigh``, scipy's or
+    numpy's (``"standard"``)."""
+    calls = {"pencils": [], "generalized": [], "standard": []}
+    solve = SceneOperators.__dict__["_eigenpairs"].func
+    scipy_eigh, numpy_eigh = scipy.linalg.eigh, np.linalg.eigh
+
+    def pencil(ops):
+        calls["pencils"].append(ops)
+        return solve(ops)
+
+    def counting(a, b=None, *args, **kwargs):
+        calls["standard" if b is None else "generalized"].append(len(a))
+        return scipy_eigh(a, b, *args, **kwargs)
+
+    def counting_numpy(a, *args, **kwargs):
+        calls["standard"].append(len(a))
+        return numpy_eigh(a, *args, **kwargs)
+
+    recording = cached_property(pencil)
+    recording.__set_name__(SceneOperators, "_eigenpairs")
+    monkeypatch.setattr(SceneOperators, "_eigenpairs", recording)
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting_numpy)
+    return calls
 
 
 def mean_free_basis(ops) -> np.ndarray:
@@ -70,7 +120,7 @@ def derivative_norm_ratios(ops, phis: list, k: float) -> list:
 
 
 def family(spectrum, name: str) -> list:
-    """The modes of one family (``+``, ``-`` or ``0``) of a spectrum."""
+    """The modes of one family (``+`` or ``-``) of a spectrum."""
     return [m for m in spectrum if m.family == name]
 
 
@@ -140,6 +190,20 @@ def golden_distance(curve: BoundaryCurve, pts, lo=None, hi=None):
                 v[keep] for v in (live, pts, a, b, c1, c2, f1, f2))
     out[live] = np.sqrt(np.minimum(f1, f2))
     return out
+
+
+def lowest_minimum(curve: BoundaryCurve, x, samples: int = 8001) -> float:
+    """The least distance over the three lowest local minima of
+    ``|q(t) - x|`` in a dense sample of the whole curve, each refined by
+    :func:`golden_distance` over its two neighbouring sample intervals."""
+    x = np.asarray(x, dtype=float)
+    h = 2.0 * np.pi / samples
+    tt = h * np.arange(samples)
+    f = np.sum((curve.point(tt) - x) ** 2, axis=1)
+    dips = np.flatnonzero((f <= np.roll(f, 1)) & (f <= np.roll(f, -1)))
+    dips = dips[np.argsort(f[dips])[:3]]
+    return float(np.min(golden_distance(curve, np.tile(x, (len(dips), 1)),
+                                        tt[dips] - h, tt[dips] + h)))
 
 
 def bracket_minima(curve: BoundaryCurve, x, samples: int = 4001) -> list:

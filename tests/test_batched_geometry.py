@@ -31,7 +31,8 @@ from npeit.geometry import (InclusionScene, RegionWithHole,
 from npeit.green import NumericGreen
 from npeit.layers import PotentialField, build_scene_operators
 
-from references import bracket_minima, golden_distance, rotated
+from references import (bracket_minima, golden_distance, lowest_minimum,
+                        outer_trace_kernel, rotated)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -54,6 +55,14 @@ def ref_distance(curve, x) -> float:
     h = 2.0 * np.pi / curve.n
     t = curve.t[i]
     lo, hi, f_lo, f_hi = t - h, t + h, fn[i - 1], fn[(i + 1) % curve.n]
+    # on a coarse grid, the least of 8 samples per spacing over the nearest
+    # node's and its neighbours' brackets, inside its two sample intervals
+    bend = 2.0 * h * curve.speed * np.abs(curve.curvature) > 1.0
+    if bend[i] or bend[i - 1] or bend[(i + 1) % curve.n]:
+        ts = t + h / 8.0 * np.arange(-16, 17)
+        fs = np.sum((curve.point(ts) - x) ** 2, axis=1)
+        j = min(max(int(np.argmin(fs)), 1), 31)
+        t, lo, hi, f_lo, f_hi = ts[j], ts[j - 1], ts[j + 1], fs[j - 1], fs[j + 1]
     for _ in range(40):
         q, q1, q2 = (v[0] for v in geometry._eval_jet(
             curve.kind, curve.center, curve.params, np.array([t])))
@@ -306,7 +315,7 @@ class TestGuardParity:
                     assert outcome(call, x, y) == expected
         for y in bad:
             expected = outcome(ref_require_far_inside, outer, y, "source points")
-            assert outcome(green.outer_trace_kernel, y) == expected
+            assert outcome(outer_trace_kernel, green, y) == expected
             for call in calls:
                 assert outcome(call, good, y) == expected
 
@@ -381,10 +390,14 @@ PERFBENCH = list(perfbench_queries())
 def assert_oracle(curve, pts, d):
     """``d`` agrees with the golden-section oracle, or, where the nearest
     node's bracket holds two minima and the searches settled in different
-    ones, with a dense-sample minimum of that bracket."""
+    ones, with a dense-sample minimum of that bracket, or, below them all,
+    with the lowest minimum of the curve (in a neighbour's bracket)."""
     for p, got, expected in zip(pts, d, golden_distance(curve, pts)):
         if abs(got - expected) > TOL:
             minima = bracket_minima(curve, p)
+            if got < min(minima) - TOL:
+                assert abs(got - lowest_minimum(curve, p)) <= TOL, (p, got)
+                continue
             assert len(minima) >= 2, (p, got, minima)
             assert min(abs(got - m) for m in minima) <= TOL, (p, got, minima)
 
@@ -403,6 +416,27 @@ class TestAgainstOracle:
         for curve, pts in PERFBENCH:
             assert np.max(np.abs(distance_to_boundary(curve, pts)
                                  - golden_distance(curve, pts))) <= TOL
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_coarse_stars_give_the_lowest_minimum(self, n):
+        # 5th and 6th harmonics on 16 and 32 nodes: where the node spacing
+        # exceeds the local radius of curvature, the nearest node's bracket
+        # can hold two minima, and a neighbour's the lowest one
+        rng = np.random.default_rng(n)
+        rows = 0
+        while rows < 300:
+            r0 = rng.uniform(0.5, 1.5)
+            terms = [(m, *(rng.uniform(-0.15, 0.15, 2) * r0)) for m in (5, 6)]
+            try:
+                curve = make_star(rng.uniform(-0.5, 0.5, 2), r0, terms, n)
+            except CurveError:
+                continue
+            i = rng.integers(n, size=12)
+            pts = curve.nodes[i] \
+                + rng.uniform(-0.2, 0.2, (12, 1)) * curve.normals[i]
+            for p, got in zip(pts, distance_to_boundary(curve, pts)):
+                assert abs(got - lowest_minimum(curve, p)) <= TOL, (p, got)
+            rows += len(pts)
 
     def test_node_at_a_local_maximum(self):
         # beyond the evolute on the major axis the vertex node is a local

@@ -1,41 +1,46 @@
 """Invariants of the cached eigenpairs ``(mu, G)`` on any geometry.
 
-``SceneOperators.pencil`` holds the eigenvalues of ``K*`` on mean-free
-densities and the nodal eigendensities, one column each.  Whatever the
-inclusion and the outer kernel, the columns are ``S``-orthonormal and
-weighted-mean-free, and the second-kind solve maps each eigendensity to
-itself over ``lam - mu``.  Checked on one star inside the unit disk
-(closed-form kernel) and inside an ellipse (numeric kernel), at n = 128.
-Measured on both: Gram defect at most 3.6e-15, weighted means at most
-1.6e-16 of max |g|, and the second-kind solve within 6.8e-14 relative
-over the 82 resolved modes.
+``SceneOperators.pencil`` holds the resolved eigenvalues of ``K*`` on
+mean-free densities (those above roundoff) and the nodal eigendensities,
+one column each.  Whatever the inclusion and the outer kernel, the
+columns are ``S``-orthonormal and weighted-mean-free, and the second-kind
+solve maps each eigendensity to itself over ``lam - mu``.  Checked on one
+star inside the unit disk (closed-form kernel) and inside an ellipse
+(numeric kernel), at n = 128.  Measured on both: Gram defect at most
+3.6e-15, weighted means at most 1.6e-16 of max |g|, and the second-kind
+solve within 6.8e-14 relative over the 82 resolved modes.
 
-The pencil is solved on all densities, where ``K*`` has one more
-eigenvalue, ``1/2``, whose eigendensity has a constant potential on the
-inclusion.  On the two stars and the shipped configs' scenes: the top
-eigenvalue is within 2.3e-16 of ``1/2``, the next at most 0.12, the top
-potential constant to 8e-15 relative, and ``pencil`` is the other
-``n - 1`` pairs.  No solve builds the Householder basis ``mean_free``.
+The oracle is the full pencil on all densities (``references``), where
+``K*`` has one more eigenvalue, ``1/2``, whose eigendensity has a
+constant potential on the inclusion.  On the two stars and the shipped
+configs' scenes: the top eigenvalue is within 2.3e-16 of ``1/2``, the
+next at most 0.12, the top potential constant to 8e-15 relative; every
+oracle eigenvalue above roundoff is matched by a resolved one, and the
+resolved pairs give the oracle's spectral sum ``sum_j mu_j g_j g_j^T E``
+over its other ``n - 1`` pairs.  No solve builds the Householder basis
+``mean_free``.
 
 Off the centre, a disk at ``(c, 0)`` in the unit disk has the closed-form
 spectrum of :func:`disk_modes.eccentric_flux_average_eigenvalues`; every
-resolved eigenvalue matched it to 2.3e-16 at n = 128 and 160, and the
-others are at most 6.8e-15 in magnitude.
+exact eigenvalue above the pencil's roundoff floor is resolved, matching
+to 2.3e-16 at n = 128 and 160, and the resolved set grows past the first
+probe block on a near-tangent disk.
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from disk_modes import eccentric_flux_average_eigenvalues
 from npeit import experiments
 from npeit.config import load_config
 from npeit.geometry import InclusionScene, make_circle, make_ellipse, make_star
 from npeit.green import DiskGreen, NumericGreen
-from npeit.layers import build_scene_operators
+from npeit.layers import _FIRST_BLOCK, _ROUNDOFF_LEVEL, build_scene_operators
 from npeit.transmission import _solve_second_kind
+
+from references import full_pencil, record_pencils
 
 N = 128
 #: eigenvalues at or below this magnitude are roundoff, not modes
@@ -57,16 +62,23 @@ def star_ops(request):
     return star_scene_ops(request.param)
 
 
+def roundoff_floor(n: int) -> float:
+    """Magnitude below which the pencil drops eigenvalues as roundoff."""
+    return 0.5 * _ROUNDOFF_LEVEL * np.sqrt(n)
+
+
 def test_pencil_is_eigenvalues_and_eigendensities(star_ops):
     assert len(star_ops.pencil) == 2
     mu, g = star_ops.pencil
-    assert mu.shape == (N - 1,) and g.shape == (N, N - 1)
+    r = len(mu)
+    assert 20 <= r < N - 1 and mu.shape == (r,) and g.shape == (N, r)
+    assert np.all(np.abs(mu) > roundoff_floor(N))
 
 
 def test_eigendensities_are_energy_orthonormal(star_ops):
-    _, g = star_ops.pencil
+    mu, g = star_ops.pencil
     gram = star_ops.energy(g, g)
-    assert np.max(np.abs(gram - np.eye(N - 1))) <= 1e-13
+    assert np.max(np.abs(gram - np.eye(len(mu)))) <= 1e-13
 
 
 def test_eigendensities_are_weighted_mean_free(star_ops):
@@ -102,12 +114,6 @@ def any_ops(request):
     return star_scene_ops(request.param.removeprefix("star-in-"))
 
 
-def full_pencil(ops):
-    """Reference: ``sym(E K*) g = mu E g`` on all nodal values."""
-    a = ops.energy_matrix @ ops.kstar_plain
-    return scipy.linalg.eigh(0.5 * (a + a.T), ops.energy_matrix)
-
-
 def test_top_eigenvalue_is_one_half(any_ops):
     mu, _ = full_pencil(any_ops)
     assert abs(mu[-1] - 0.5) <= 1e-14
@@ -116,18 +122,37 @@ def test_top_eigenvalue_is_one_half(any_ops):
 
 def test_top_eigendensity_has_constant_potential(any_ops):
     _, y = full_pencil(any_ops)
-    trace = any_ops.potential_trace(y[:, -1])
-    assert np.ptp(trace) <= 1e-12 * np.max(np.abs(trace))
+    for density in (y[:, -1], any_ops.equilibrium):
+        trace = any_ops.potential_trace(density)
+        assert np.ptp(trace) <= 1e-12 * np.max(np.abs(trace))
 
 
 def test_pencil_is_the_other_pairs(any_ops):
-    n = any_ops.curve.n
+    # matched eigenvalues, and the spectral sum of K* over the other pairs:
+    # unlike single eigendensities, it does not depend on the basis picked
+    # inside a degenerate or roundoff-level eigenspace
     mu_all, y = full_pencil(any_ops)
     mu, g = any_ops.pencil
-    assert mu.shape == (n - 1,) and g.shape == (n, n - 1)
     assert np.all(mu < 0.5)
-    assert np.max(np.abs(mu - mu_all[:-1])) <= 1e-15
-    expected = y[:, :-1]
+    assert np.max(np.abs(mu - mu_all[np.argmin(
+        np.abs(mu[:, None] - mu_all[:-1]), axis=1)])) <= 1e-15
+    for value in mu_all[:-1][np.abs(mu_all[:-1]) > RESOLVED]:
+        assert np.min(np.abs(mu - value)) <= 1e-15
+    # in the energy geometry (E = C C^T) the sums are symmetric matrices,
+    # and the operator norm of K* there is 1/2, the equilibrium's
+    c = np.linalg.cholesky(any_ops.energy_matrix)
+
+    def spectral_sum(vectors, values):
+        h = c.T @ vectors
+        return (h * values) @ h.T
+
+    gap = spectral_sum(g, mu) - spectral_sum(y[:, :-1], mu_all[:-1])
+    assert np.linalg.norm(gap, 2) <= 1e-12 * 0.5
+    # under two first blocks the pencil is the full problem (Q = I), so its
+    # eigendensities are the oracle's resolved ones, column by column
+    n = any_ops.curve.n
+    assert n < 2 * _FIRST_BLOCK
+    expected = y[:, :-1][:, np.abs(mu_all[:-1]) > roundoff_floor(n)]
     assert np.max(np.abs(g - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -159,4 +184,26 @@ def test_eccentric_disk_eigenvalues(c, r, n):
     exact = eccentric_flux_average_eigenvalues(c, r, RESOLVED)
     assert len(exact) >= 10
     assert np.max(np.abs(mu[:len(exact)] - exact)) <= 1e-15
-    assert np.max(np.abs(mu[len(exact):])) <= RESOLVED
+    assert np.all(np.abs(mu[len(exact):]) <= RESOLVED)
+    # every exact eigenvalue above the pencil's roundoff floor is resolved
+    above = eccentric_flux_average_eigenvalues(c, r, roundoff_floor(n))
+    assert len(above) >= len(exact)
+    for value in above:
+        assert np.min(np.abs(mu - value)) <= 1e-15
+
+
+@pytest.mark.parametrize("c, r, blocks", [(0.05, 0.3, 1), (0.3, 0.65, 2)])
+def test_resolved_rank_grows_on_a_near_tangent_disk(c, r, blocks,
+                                                    monkeypatch):
+    # a disk 0.05 from the outer circle has slowly decaying eigenvalues:
+    # the first block holds no pairs at roundoff to spare, and it doubles
+    n = 512
+    scene = InclusionScene(make_circle((0, 0), 1.0, n),
+                           make_circle((c, 0), r, n), 1.0)
+    calls = record_pencils(monkeypatch)
+    mu, _ = build_scene_operators(scene).pencil
+    assert calls["generalized"] == [_FIRST_BLOCK * 2**i for i in range(blocks)]
+    exact = eccentric_flux_average_eigenvalues(c, r, roundoff_floor(n))
+    assert len(mu) >= len(exact)
+    for value in exact:
+        assert np.min(np.abs(mu - value)) <= 1e-15

@@ -7,7 +7,8 @@ a star in a disk, a star in an ellipse, the off-centre disk of
 ``configs/adjudication.cfg`` and a rough star, at n = 128 and 256:
 
 * the resolved eigenvalues of the nodal pencil ``sym(E K*) g = mu E g``
-  match the hat pencil's to 1e-15;
+  match the hat pencil's to 1e-15, and every hat eigenvalue above
+  roundoff is resolved;
 * the dropped top eigenvalue is 1/2 to 1e-14;
 * ``energy`` matches ``hat(g)^T s_hat hat(h)`` to 1e-14 relative, and the
   potential trace ``-(E g) / w`` matches ``-s_plain g`` to 1e-14 relative.
@@ -56,12 +57,17 @@ def hat_pencil(hf):
 
 
 def test_resolved_eigenvalues_match_the_hat_pencil(ops_and_hat):
+    # each resolved eigenvalue of the nodal pencil against the nearest of
+    # the hat pencil's, and each of the hat pencil's above roundoff against
+    # the nearest resolved one
     ops, hf = ops_and_hat
     mu, _ = ops.pencil
     reference = hat_pencil(hf)[:-1]
     resolved = np.abs(reference) > RESOLVED
     assert resolved.sum() >= 30
-    assert np.max(np.abs(mu - reference)[resolved]) <= 1e-15
+    gaps = np.abs(mu[:, None] - reference[None, :])
+    assert np.max(np.min(gaps, axis=1)) <= 1e-15
+    assert np.max(np.min(gaps, axis=0)[resolved]) <= 1e-15
 
 
 def test_dropped_top_eigenvalue_is_one_half(ops_and_hat):

@@ -14,6 +14,8 @@ from npeit.green import DiskGreen, InteriorNeumannSolver, NumericGreen, make_gre
 from npeit.layers import build_scene_operators
 from npeit.quadrature import free_single_layer_eval, free_single_layer_gradient
 
+from references import outer_trace_kernel
+
 INTERIOR_POINTS = np.array([[0.2, 0.3], [-0.4, 0.1], [0.05, -0.35], [0.1, 0.02]])
 SOURCE_POINTS = np.array([[0.3, 0.1], [0.0, 0.0], [-0.2, 0.45]])
 
@@ -72,7 +74,7 @@ class TestDiskGreen:
         assert np.max(np.abs(r1 - r2.T)) <= 1e-15
 
     def test_zero_boundary_mean(self):
-        tr = self.green.outer_trace_kernel(SOURCE_POINTS)
+        tr = outer_trace_kernel(self.green, SOURCE_POINTS)
         assert np.max(np.abs(self.outer.weights @ tr)) <= 1e-13
 
     def test_constant_outer_flux(self):
@@ -87,7 +89,7 @@ class TestDiskGreen:
 
     def test_boundary_trace_consistency(self):
         on_boundary = self.green.kernel(self.outer.nodes, SOURCE_POINTS)
-        trace = self.green.outer_trace_kernel(SOURCE_POINTS)
+        trace = outer_trace_kernel(self.green, SOURCE_POINTS)
         assert np.max(np.abs(on_boundary - trace)) <= 1e-13
 
     def test_correction_is_harmonic(self):
@@ -115,7 +117,7 @@ class TestDiskGreen:
         with pytest.raises(EvaluationDomainError):
             self.green.correction([[1.5, 0.0]], SOURCE_POINTS)
         with pytest.raises(EvaluationDomainError):
-            self.green.outer_trace_kernel([[0.0, 1.2]])
+            outer_trace_kernel(self.green, [[0.0, 1.2]])
 
     def test_requires_circle(self):
         with pytest.raises(ValueError):
@@ -126,7 +128,7 @@ class TestDiskGreen:
         outer = make_circle((0.5, -0.25), 1.75, 128)
         green = DiskGreen(outer)
         y = np.array([[0.7, 0.1], [0.5, -0.25]])
-        tr = green.outer_trace_kernel(y)
+        tr = outer_trace_kernel(green, y)
         assert np.max(np.abs(outer.weights @ tr)) <= 1e-13
         # center source: N = ln(|x - c|/rho^2)/(2 pi) + ... reduces to
         # (1/2 pi) ln(|x - c| / rho) plus the -ln(rho)/2 pi shift; check
@@ -167,14 +169,43 @@ class TestInteriorNeumannSolver:
             solver.solve(np.ones(64))
 
 
+class TestDiskNeumannSolver:
+    """The closed form on circles against the bordered LU solve."""
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    @pytest.mark.parametrize("center, rho", [((0.0, 0.0), 1.0),
+                                             ((0.5, -0.25), 1.3),
+                                             ((-0.2, 0.4), 0.7)])
+    def test_matches_the_lu_solver(self, center, rho, n):
+        outer = make_circle(center, rho, n)
+        closed, lu = DiskGreen(outer).neumann, InteriorNeumannSolver(outer)
+        t = outer.t
+        flux = np.column_stack([np.cos(t), np.sin(3 * t) - 0.2 * np.cos(7 * t),
+                                np.exp(np.cos(t)) * np.sin(2 * t)])
+        flux -= outer.mean(flux)
+        psi, border = closed.solve(flux)
+        psi_lu, border_lu = lu.solve(flux)
+        assert np.all(border == 0.0) and np.max(np.abs(border_lu)) <= 1e-13
+        assert np.max(np.abs(psi - psi_lu)) <= 1e-13 * np.max(np.abs(psi_lu))
+        trace = closed.trace(psi)
+        expected = lu.s_self @ psi
+        assert np.max(np.abs(trace - expected)) <= 1e-14 * np.max(np.abs(expected))
+        assert np.array_equal(closed.trace(psi[:, 1]), trace[:, 1])
+
+    def test_rejects_incompatible_data(self):
+        solver = DiskGreen(make_circle((0.1, 0), 1.2, 64)).neumann
+        with pytest.raises(ConditioningError, match="not mean-free"):
+            solver.solve(np.ones(64))
+
+
 class TestNumericGreen:
     def test_matches_disk_closed_form(self):
         outer = make_circle((0, 0), 1.0, 128)
         ng, dg = NumericGreen(outer), DiskGreen(outer)
         assert np.max(np.abs(ng.kernel(INTERIOR_POINTS, SOURCE_POINTS)
                              - dg.kernel(INTERIOR_POINTS, SOURCE_POINTS))) <= 1e-12
-        assert np.max(np.abs(ng.outer_trace_kernel(SOURCE_POINTS)
-                             - dg.outer_trace_kernel(SOURCE_POINTS))) <= 1e-12
+        assert np.max(np.abs(outer_trace_kernel(ng, SOURCE_POINTS)
+                             - outer_trace_kernel(dg, SOURCE_POINTS))) <= 1e-12
         assert np.max(np.abs(
             ng.correction_gradient_x(INTERIOR_POINTS, SOURCE_POINTS)
             - dg.correction_gradient_x(INTERIOR_POINTS, SOURCE_POINTS))) <= 1e-11
@@ -185,7 +216,7 @@ class TestNumericGreen:
         r1 = ng.correction(INTERIOR_POINTS, SOURCE_POINTS)
         r2 = ng.correction(SOURCE_POINTS, INTERIOR_POINTS)
         assert np.max(np.abs(r1 - r2.T)) <= 1e-12  # symmetry
-        tr = ng.outer_trace_kernel(SOURCE_POINTS)
+        tr = outer_trace_kernel(ng, SOURCE_POINTS)
         assert np.max(np.abs(star.weights @ tr)) <= 1e-12  # zero mean
 
     def test_star_correction_is_harmonic(self):

@@ -28,6 +28,8 @@ points: the grounded limit's net flux is carried by the equilibrium
 density, not by a point source.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -40,7 +42,7 @@ from npeit.green import DiskGreen, NumericGreen
 from npeit.layers import build_scene_operators
 from npeit.transmission import solve_limit, solve_transmission, trace_constant
 
-from references import HatForms
+from references import HatForms, outer_trace_kernel, record_pencils
 
 N = 128
 TRACE_RTOL = 1e-14
@@ -79,7 +81,7 @@ def bordered_limit(ops, lim, kind, centre_source=False):
     psi, alpha = sol[:n], (float(sol[n]) if kind == "grounded" else 0.0)
     raw = lim.background.trace + ops.outer_trace(psi) + alpha
     if centre_source:
-        raw = raw + lim.beta * ops.green.outer_trace_kernel([curve.center])[:, 0]
+        raw = raw + lim.beta * outer_trace_kernel(ops.green, [curve.center])[:, 0]
     return psi, alpha, raw - ops.scene.outer.mean(raw)
 
 
@@ -126,23 +128,18 @@ count = 5
 
 def test_sweep_makes_two_limit_solves_on_one_pencil(tmp_path, monkeypatch):
     config = parse_config(NET_FLUX_SWEEP)
-    limits, eigh_sizes = [], []
-    real_limit, real_eigh = experiments.solve_limit, scipy.linalg.eigh
+    limits = []
+    real_limit = experiments.solve_limit
 
     def recording_limit(*args, **kwargs):
         limits.append(real_limit(*args, **kwargs))
         return limits[-1]
 
-    def counting_eigh(a, b=None, *args, **kwargs):
-        if b is not None:
-            eigh_sizes.append(np.shape(a)[0])
-        return real_eigh(a, b, *args, **kwargs)
-
     def no_dense_solve(*args, **kwargs):
         raise AssertionError("scipy.linalg.solve called during a sweep")
 
     monkeypatch.setattr(experiments, "solve_limit", recording_limit)
-    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    calls = record_pencils(monkeypatch)
     monkeypatch.setattr(scipy.linalg, "solve", no_dense_solve)
     result = run_sweep(config, tmp_path)
     monkeypatch.undo()
@@ -150,8 +147,10 @@ def test_sweep_makes_two_limit_solves_on_one_pencil(tmp_path, monkeypatch):
     assert len(limits) == 2
     grounded, conductor = limits
     assert grounded.beta != 0.0 and conductor.beta == 0.0
-    # one pencil of size n, and the trace constant's 24 x 24 problem
-    assert eigh_sizes == [config.n, 24]
+    # one pencil, of size n (past n/2 its block is every nodal value), and
+    # the trace constant's 24 x 24 problem
+    assert calls["pencils"] == [conductor.ops]
+    assert calls["generalized"] == [config.n, 24]
 
     # the bound against the conductor is the bound against the grounded
     # limit of the mean-free data, which differs from it by a constant
@@ -164,6 +163,26 @@ def test_sweep_makes_two_limit_solves_on_one_pencil(tmp_path, monkeypatch):
     np.testing.assert_allclose(result.grad_ratio, expected, rtol=1e-13, atol=0)
 
 
+def test_disk_sweep_factors_no_dense_matrix(tmp_path, monkeypatch):
+    # the shipped off-centre disk at n = 256: the outer Neumann solve is
+    # closed form (no LU) and the pencil's Rayleigh-Ritz problems are
+    # smaller than n; the last generalized eigh is the trace constant's
+    text = (Path(__file__).resolve().parents[1] / "configs"
+            / "adjudication.cfg").read_text().replace("n = 160", "n = 256")
+    config = parse_config(text)
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("lu_factor called during a disk sweep")
+
+    calls = record_pencils(monkeypatch)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", no_lu)
+    run_sweep(config, tmp_path)
+    monkeypatch.undo()
+    assert len(calls["pencils"]) == 1 and calls["standard"] == []
+    *pencil, trace = calls["generalized"]
+    assert pencil and max(pencil) < config.n and trace == 24
+
+
 def test_numeric_kernel_sweep_makes_no_point_solves(tmp_path, monkeypatch):
     # net-flux data on an ellipse: no limit evaluates the kernel at points
     config = parse_config(NET_FLUX_SWEEP.replace("circle 0 0 1",
@@ -172,7 +191,7 @@ def test_numeric_kernel_sweep_makes_no_point_solves(tmp_path, monkeypatch):
     def point_solve(*args, **kwargs):
         raise AssertionError("per-point kernel evaluation during a sweep")
 
-    for name in ("kernel", "outer_trace_kernel", "_correction_data"):
+    for name in ("kernel", "_correction_data"):
         monkeypatch.setattr(NumericGreen, name, point_solve)
     result = run_sweep(config, tmp_path)
     assert len(result.ks) == 5 and np.all(np.isfinite(result.dist_dirichlet))

@@ -6,7 +6,7 @@ inclusion's blocks in one call.  Pinned behavior:
   * the single-layer matrix (``E / w`` by rows), ``kstar_plain``,
     ``outer_trace_matrix`` and ``background_maps`` agree with the per-point kernel API (``correction``,
     ``correction_gradient_x`` contracted with the normals,
-    ``outer_trace_kernel``, ``free_single_layer_eval`` and
+    ``references.outer_trace_kernel``, ``free_single_layer_eval`` and
     ``free_single_layer_gradient``) to 1e-13 relative, on both kernels, on
     ellipse and star outers, and on ``NumericGreen`` of a circle against
     the closed form;
@@ -37,6 +37,8 @@ from npeit.quadrature import (free_self_matrices, free_single_layer_eval,
                               free_single_layer_gradient)
 from npeit.spectrum import solve_spectrum
 
+from references import outer_trace_kernel
+
 INCLUSION = make_star((0.1, -0.05), 0.4, [(3, 0.05), (5, -0.02)], 96)
 OUTERS = {"disk": make_circle((0.05, 0.0), 1.1, 128),
           "ellipse": make_ellipse((0, 0), 1.3, 0.8, 160),
@@ -54,7 +56,7 @@ def per_point_operators(green, curve):
     grad = free_single_layer_gradient(outer, x)
     return {"s_plain": -(s_free + 0.5 * (corr + corr.T) * w),
             "kstar_plain": k_free + dnu * w,
-            "outer_trace_matrix": green.outer_trace_kernel(x) * w,
+            "outer_trace_matrix": outer_trace_kernel(green, x) * w,
             "values_map": free_single_layer_eval(outer, x),
             "flux_map": np.einsum("pjd,pd->pj", grad, nu)}
 

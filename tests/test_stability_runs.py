@@ -26,7 +26,8 @@ from npeit.experiments import (build_operators, run_stability,
                                triple_log_reference)
 from npeit.geometry import (BoundaryCurve, hausdorff_distance,
                             modified_distance)
-from npeit.green import DiskGreen, InteriorNeumannSolver, NumericGreen
+from npeit.green import (DiskGreen, DiskNeumannSolver, InteriorNeumannSolver,
+                         NumericGreen)
 from npeit.transmission import solve_transmission, trace_distance
 
 SCENE = """
@@ -106,7 +107,7 @@ def test_rows_match_the_per_pair_path_bit_for_bit(name, tmp_path):
 
 
 def count_work(monkeypatch) -> Counter:
-    """Count kernel builds, outer Neumann factorizations, operator sets,
+    """Count kernel builds, outer Neumann solvers, operator sets,
     ladder solves and ``locate`` calls on inclusion (star) curves."""
     counts = Counter()
 
@@ -120,8 +121,9 @@ def count_work(monkeypatch) -> Counter:
     for kernel in (DiskGreen, NumericGreen):
         monkeypatch.setattr(kernel, "__init__",
                             counting("green", kernel.__init__))
-    monkeypatch.setattr(InteriorNeumannSolver, "__init__",
-                        counting("neumann", InteriorNeumannSolver.__init__))
+    for solver in (DiskNeumannSolver, InteriorNeumannSolver):
+        monkeypatch.setattr(solver, "__init__",
+                            counting("neumann", solver.__init__))
     monkeypatch.setattr(
         experiments, "build_scene_operators",
         counting("operator sets", experiments.build_scene_operators))
