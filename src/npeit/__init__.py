@@ -5,13 +5,25 @@ solves across a conductivity sweep with their high-contrast limits, and a
 reproducible experiment harness.
 """
 
-from .exceptions import (ConditioningError, ConfigError, CurveError,
-                         EvaluationDomainError, IndeterminatePointError,
-                         SeparationError, SolverError)
+from .exceptions import (
+    ConditioningError,
+    ConfigError,
+    CurveError,
+    EvaluationDomainError,
+    IndeterminatePointError,
+    SeparationError,
+    SolverError,
+)
 
 __all__ = [
-    "ConditioningError", "ConfigError", "CurveError", "EvaluationDomainError",
-    "IndeterminatePointError", "SeparationError", "SolverError", "__version__",
+    "ConditioningError",
+    "ConfigError",
+    "CurveError",
+    "EvaluationDomainError",
+    "IndeterminatePointError",
+    "SeparationError",
+    "SolverError",
+    "__version__",
 ]
 
 __version__ = "0.1.0"

@@ -27,8 +27,12 @@ import numpy as np
 from .config import ExperimentConfig
 
 __all__ = [
-    "ORACLE_HEADER", "OracleMode", "format_number", "run_oracle_check",
-    "oracle_transmission_mode", "oracle_limit_trace_coefficient",
+    "ORACLE_HEADER",
+    "OracleMode",
+    "format_number",
+    "run_oracle_check",
+    "oracle_transmission_mode",
+    "oracle_limit_trace_coefficient",
 ]
 
 

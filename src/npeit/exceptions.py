@@ -9,8 +9,13 @@ node count) has to change.
 from __future__ import annotations
 
 __all__ = [
-    "CurveError", "IndeterminatePointError", "SeparationError",
-    "EvaluationDomainError", "ConditioningError", "SolverError", "ConfigError",
+    "CurveError",
+    "IndeterminatePointError",
+    "SeparationError",
+    "EvaluationDomainError",
+    "ConditioningError",
+    "SolverError",
+    "ConfigError",
 ]
 
 

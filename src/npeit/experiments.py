@@ -35,11 +35,24 @@ from .transmission import (ExpansionResult, expansion_coefficients,
                            trace_distance)
 
 __all__ = [
-    "SWEEP_HEADER", "STABILITY_HEADER", "SPECTRUM_HEADER", "EXPANSION_HEADER",
-    "ORACLE_HEADER", "TRIPLE_LOG_THRESHOLD", "SweepResult", "StabilityRow",
-    "blas_threads", "build_operators", "format_number", "rank_correlation",
-    "run_expansion", "run_oracle_check", "run_spectrum", "run_stability",
-    "run_sweep", "triple_log_reference",
+    "SWEEP_HEADER",
+    "STABILITY_HEADER",
+    "SPECTRUM_HEADER",
+    "EXPANSION_HEADER",
+    "ORACLE_HEADER",
+    "TRIPLE_LOG_THRESHOLD",
+    "SweepResult",
+    "StabilityRow",
+    "blas_threads",
+    "build_operators",
+    "format_number",
+    "rank_correlation",
+    "run_expansion",
+    "run_oracle_check",
+    "run_spectrum",
+    "run_stability",
+    "run_sweep",
+    "triple_log_reference",
 ]
 
 log = logging.getLogger("npeit.experiments")

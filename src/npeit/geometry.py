@@ -34,9 +34,17 @@ from .curvespec import curve_spec_string
 from .exceptions import CurveError, IndeterminatePointError, SeparationError
 
 __all__ = [
-    "BoundaryCurve", "RegionWithHole", "InclusionScene", "make_circle",
-    "make_ellipse", "make_star", "parse_curve_spec", "curve_spec_string",
-    "distance_to_boundary", "region_distance", "hausdorff_distance",
+    "BoundaryCurve",
+    "RegionWithHole",
+    "InclusionScene",
+    "make_circle",
+    "make_ellipse",
+    "make_star",
+    "parse_curve_spec",
+    "curve_spec_string",
+    "distance_to_boundary",
+    "region_distance",
+    "hausdorff_distance",
     "modified_distance",
 ]
 

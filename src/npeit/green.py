@@ -13,32 +13,45 @@ Splitting off the free-space part,
     ``N(x, y) = ln|x - y|/(2 pi) + R(x, y)``,
 
 leaves a correction ``R`` that is smooth and harmonic in both arguments
-throughout the domain and symmetric.  :class:`DiskGreen` gives it in
-closed form on a circle; :class:`NumericGreen` by an interior Neumann
-solve on any smooth outer curve, spectrally accurate in the outer grid.
+throughout the domain and symmetric.  Two constructions are provided:
+
+* :class:`DiskGreen` -- closed form for a circular outer boundary via the
+  reflected-point formula, written in a form that stays stable as the
+  source approaches the center; the outer curve's interior Neumann solve
+  is in closed form too;
+* :class:`NumericGreen` -- any smooth outer boundary; the correction is
+  produced per source point by an interior Neumann solve on the outer
+  curve (single-layer representation, bordered system fixing the additive
+  constant), so its accuracy is spectral in the outer grid.
+
 Both expose the same small surface: per point set, kernel and correction
 values and the correction gradient in the first argument, with nothing
 cached; per operator set, ``inclusion_blocks`` (``R`` and its normal
 derivative on the inclusion nodes) and ``outer_maps`` (one outer x
-inclusion table); one interior Neumann solver of the outer curve,
-``neumann``, in closed form on the circle.
+inclusion table); and the outer curve's interior Neumann solve,
+``neumann_solve`` with ``layer_trace``.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .exceptions import ConditioningError, EvaluationDomainError
 from .geometry import BoundaryCurve
-from .quadrature import (flux_kernel, free_self_matrices,
-                         free_single_layer_eval, free_single_layer_gradient,
-                         log_kernel, pair_table)
+from .quadrature import (
+    flux_kernel,
+    free_self_matrices,
+    free_single_layer_eval,
+    free_single_layer_gradient,
+    log_kernel,
+    pair_table,
+)
 
 __all__ = [
-    "InteriorNeumannSolver", "DiskGreen", "NumericGreen", "make_green",
+    "DiskGreen",
+    "NumericGreen",
+    "make_green",
 ]
 
 # trapezoidal evaluation of smooth layer kernels degrades closer to the
@@ -68,10 +81,6 @@ class DiskGreen:
         self.outer = outer
         self.center = outer.center
         self.radius = float(outer.params[0])
-
-    @cached_property
-    def neumann(self) -> DiskNeumannSolver:  # built on first use
-        return DiskNeumannSolver(self.outer)
 
     def _require(self, pts, what):
         rho = np.hypot(*(pts - self.center).T)
@@ -106,6 +115,29 @@ class DiskGreen:
         """``N(x_i, y_j)`` for distinct point sets."""
         return log_kernel(pair_table(_points(x), _points(y))[0]) \
             + self.correction(x, y)
+
+    # -- interior Neumann solve of the outer curve ----------------------------
+
+    def neumann_solve(self, flux_values: np.ndarray):
+        """Density columns ``psi`` whose interior-side single-layer flux
+        matches each mean-free column of ``flux_values`` on the outer
+        nodes, with the border residuals: the free ``K*`` of a circle of
+        radius ``rho`` is the constant ``1/(4 pi rho)``, zero on mean-free
+        densities, so ``psi = -2 h`` and the residuals are zero."""
+        flux = _mean_free(self.outer, flux_values)
+        return -2.0 * flux, np.zeros(flux.shape[1])
+
+    def layer_trace(self, psi: np.ndarray) -> np.ndarray:
+        """Outer-node trace of the free single layer of ``psi`` (or
+        columns): the Nystrom rule's own Fourier symbol, by ``rfft``,
+        ``rho ln rho`` at ``m = 0``, ``-rho/(2|m|)`` for ``0 < |m| < n/2``
+        and ``-rho/n`` at ``n/2``."""
+        rho, n = self.radius, self.outer.n
+        symbol = -rho / (2.0 * np.maximum(np.arange(n // 2 + 1), 1))
+        symbol[0], symbol[-1] = rho * np.log(rho), -rho / n
+        coeffs = np.fft.rfft(psi, axis=0)
+        coeffs *= symbol.reshape((-1,) + (1,) * (np.ndim(psi) - 1))
+        return np.fft.irfft(coeffs, n, axis=0)
 
     def outer_maps(self, curve: BoundaryCurve):
         """From one outer x inclusion table: the free outer layer's values
@@ -165,34 +197,15 @@ def _mean_free(outer: BoundaryCurve, flux_values) -> np.ndarray:
     return flux
 
 
-class DiskNeumannSolver:
-    """:class:`InteriorNeumannSolver` on a circle, in closed form: the free
-    ``K*`` of radius ``rho`` is the constant ``1/(4 pi rho)``, zero on
-    mean-free densities, so a mean-free flux ``h`` has ``psi = -2 h`` and
-    no compatibility defect.  The trace of its single layer is the Nystrom
-    rule's own Fourier symbol, by ``rfft``: ``rho ln rho`` at ``m = 0``,
-    ``-rho/(2|m|)`` for ``0 < |m| < n/2`` and ``-rho/n`` at ``n/2``."""
+class NumericGreen:
+    """Outer kernel for a general smooth outer boundary.
 
-    def __init__(self, outer: BoundaryCurve):
-        self.outer, self.length = outer, outer.length()
-        rho, n = float(outer.params[0]), outer.n
-        self.symbol = -rho / (2.0 * np.maximum(np.arange(n // 2 + 1), 1))
-        self.symbol[0], self.symbol[-1] = rho * np.log(rho), -rho / n
-
-    def solve(self, flux_values: np.ndarray):
-        """``(psi, border_residuals)``: ``-2 h`` per column ``h``, zeros."""
-        flux = _mean_free(self.outer, flux_values)
-        return -2.0 * flux, np.zeros(flux.shape[1])
-
-    def trace(self, psi: np.ndarray) -> np.ndarray:
-        """Outer-node trace of the single layer of ``psi`` (or columns)."""
-        coeffs = np.fft.rfft(psi, axis=0)
-        coeffs *= self.symbol.reshape((-1,) + (1,) * (np.ndim(psi) - 1))
-        return np.fft.irfft(coeffs, self.outer.n, axis=0)
-
-
-class InteriorNeumannSolver:
-    """Interior Neumann problems on a closed curve via a free single layer.
+    For each source ``y`` the correction ``R(., y)`` is the interior
+    harmonic function with outer Neumann data
+    ``1/|bd Omega| - d/dnu ln|x - y|/(2 pi)`` (mean-free by the flux
+    theorem), represented as a free single layer on the outer curve plus
+    a constant fixed by the zero-boundary-mean normalization.  Accuracy
+    is spectral in the outer grid.
 
     The interior-side flux of a single layer is ``(-I/2 + K*) psi``; that
     operator has a one-dimensional defect (its range is the mean-free
@@ -205,8 +218,7 @@ class InteriorNeumannSolver:
     kernel directions; the border both regularizes the rank-one
     deficiency and pins the mean of the density.  The border unknown
     reports the compatibility defect of the data and stays at roundoff
-    for mean-free fluxes.  :class:`NumericGreen` solves with it; on a
-    circle :class:`DiskNeumannSolver` is the closed form.
+    for mean-free fluxes.  Its LU is formed once, here.
     """
 
     def __init__(self, outer: BoundaryCurve):
@@ -223,9 +235,9 @@ class InteriorNeumannSolver:
         self._lu = scipy.linalg.lu_factor(bordered)
         self.length = outer.length()
 
-    def solve(self, flux_values: np.ndarray):
+    def neumann_solve(self, flux_values: np.ndarray):
         """Density columns ``psi`` whose interior-side single-layer flux
-        matches each mean-free column of ``flux_values`` on the curve
+        matches each mean-free column of ``flux_values`` on the outer
         nodes.  Returns ``(psi, border_residuals)``."""
         flux = _mean_free(self.outer, flux_values)
         rhs = np.zeros((self.outer.n + 1, flux.shape[1]))
@@ -234,24 +246,9 @@ class InteriorNeumannSolver:
         psi = sol[:-1] / self.sqrt_w[:, None]
         return psi, sol[-1]
 
-    def trace(self, psi: np.ndarray) -> np.ndarray:
-        """Outer-node trace of the single layer of ``psi``."""
+    def layer_trace(self, psi: np.ndarray) -> np.ndarray:
+        """Outer-node trace of the free single layer of ``psi``."""
         return self.s_self @ psi
-
-
-class NumericGreen:
-    """Outer kernel for a general smooth outer boundary.
-
-    For each source ``y`` the correction ``R(., y)`` is the interior
-    harmonic function with outer Neumann data
-    ``1/|bd Omega| - d/dnu ln|x - y|/(2 pi)`` (mean-free by the flux
-    theorem), represented as a free single layer on the outer curve plus
-    a constant fixed by the zero-boundary-mean normalization.
-    """
-
-    def __init__(self, outer: BoundaryCurve):
-        self.outer = outer
-        self.neumann = InteriorNeumannSolver(outer)
 
     def _require_far_inside(self, pts, what, located=None):
         # the first offending point raises as per-point tests would
@@ -279,21 +276,21 @@ class NumericGreen:
 
     def _neumann_data(self, dx, r2pi):
         # the correction's outer Neumann data, one column per source
-        return 1.0 / self.neumann.length \
+        return 1.0 / self.length \
             - flux_kernel(dx, r2pi, self.outer.normals[:, None])
 
     def _trace(self, logs, target):
         # one Neumann solve for the sources' densities; one product with the
         # outer self matrix serves the zero-mean constant and the trace
-        outer, neumann = self.outer, self.neumann
-        psi, borders = neumann.solve(target)
+        psi, borders = self.neumann_solve(target)
         if np.max(np.abs(borders)) > 1e-6:
             raise ConditioningError(
                 "outer Neumann solve left a large compatibility defect "
                 f"({np.max(np.abs(borders)):.3e}); refine the outer grid"
             )
-        trace = neumann.trace(psi)
-        const = -(outer.weights @ logs + outer.weights @ trace) / neumann.length
+        trace = self.layer_trace(psi)
+        w = self.outer.weights
+        const = -(w @ logs + w @ trace) / self.length
         trace += logs
         trace += const
         return trace, (psi, const)

@@ -25,8 +25,12 @@ import numpy as np
 from .geometry import BoundaryCurve
 
 __all__ = [
-    "log_weights", "pair_table", "log_kernel", "flux_kernel",
-    "free_self_matrices", "free_single_layer_eval",
+    "log_weights",
+    "pair_table",
+    "log_kernel",
+    "flux_kernel",
+    "free_self_matrices",
+    "free_single_layer_eval",
     "free_single_layer_gradient",
 ]
 

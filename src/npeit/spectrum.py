@@ -23,7 +23,9 @@ import numpy as np
 from .layers import SceneOperators
 
 __all__ = [
-    "SpectralMode", "NPSpectrum", "solve_spectrum",
+    "SpectralMode",
+    "NPSpectrum",
+    "solve_spectrum",
 ]
 
 log = logging.getLogger(__name__)

@@ -39,10 +39,19 @@ from .quadrature import free_single_layer_eval, free_single_layer_gradient
 from .spectrum import NPSpectrum
 
 __all__ = [
-    "BackgroundField", "solve_background", "TransmissionSolution",
-    "solve_transmission", "LimitSolution", "solve_limit", "trace_distance",
-    "trace_constant", "gradient_bound", "derivative_ladder",
-    "taylor_outer_trace", "ExpansionResult", "expansion_coefficients",
+    "BackgroundField",
+    "solve_background",
+    "TransmissionSolution",
+    "solve_transmission",
+    "LimitSolution",
+    "solve_limit",
+    "trace_distance",
+    "trace_constant",
+    "gradient_bound",
+    "derivative_ladder",
+    "taylor_outer_trace",
+    "ExpansionResult",
+    "expansion_coefficients",
 ]
 
 log = logging.getLogger(__name__)
@@ -98,13 +107,13 @@ def solve_background(ops: SceneOperators, f: np.ndarray) -> BackgroundField:
     f = np.asarray(f, dtype=float)
     removed = outer.mean(f)
     h = f - removed
-    psi, border = ops.green.neumann.solve(h / ops.scene.k0)
+    psi, border = ops.green.neumann_solve(h / ops.scene.k0)
     if np.max(np.abs(border)) > 1e-8 * max(1.0, float(np.max(np.abs(h)))):
         raise SolverError(
             f"background solve compatibility defect {float(np.max(np.abs(border))):.3e}"
         )
     psi = psi.reshape(h.shape)
-    raw_trace = ops.green.neumann.trace(psi)
+    raw_trace = ops.green.layer_trace(psi)
     constant = -outer.mean(raw_trace)
     values_map, flux_map = ops.background_maps
     return BackgroundField(scene=ops.scene, f=h, psi=psi, constant=constant,
@@ -267,16 +276,14 @@ def _solve_second_kind(ops: SceneOperators, lam,
                     _RESONANCE_MARGIN, mu[np.argmin(np.abs(gap[:, j]))])
     if np.any(gap == 0.0):  # pragma: no cover
         raise SolverError(f"second-kind solve failed at lambda={lam}")
-    scale = 1.0 / gap
-
-    def resolvent(r):
-        r = r - ops.curve.mean(r)
-        c = ops.energy(g, r)
-        return g @ (scale * c) + (r - g @ c) / lams
-
+    scale = mu[:, None] / (lams * gap)  # 1/(lam - mu) less the 1/lam of all r
+    mean = ops.curve.mean
     rhs = np.reshape(rhs_plain, (len(g), -1))
-    phi = resolvent(rhs)
-    phi += resolvent(rhs - (lams * phi - ops.flux_average(phi)))
+    r = rhs - mean(rhs)
+    phi = r / lams + g @ (scale * ops.energy(g, r))
+    r = rhs - (lams * phi - ops.flux_average(phi))
+    r -= mean(r)
+    phi += r / lams + g @ (scale * ops.energy(g, r))
     return phi.reshape(
         np.shape(rhs_plain) if np.ndim(lam) == 0 else (-1, lams.size))
 

@@ -10,7 +10,7 @@ import pytest
 
 from npeit.exceptions import ConditioningError, EvaluationDomainError
 from npeit.geometry import InclusionScene, make_circle, make_ellipse, make_star
-from npeit.green import DiskGreen, InteriorNeumannSolver, NumericGreen, make_green
+from npeit.green import DiskGreen, NumericGreen, make_green
 from npeit.layers import build_scene_operators
 from npeit.quadrature import free_single_layer_eval, free_single_layer_gradient
 
@@ -150,9 +150,8 @@ class TestInteriorNeumannSolver:
         # interior Neumann data cos(m t) on the unit circle produces
         # rho^m cos(m theta)/m up to a constant
         outer = make_circle((0, 0), 1.0, 128)
-        solver = InteriorNeumannSolver(outer)
         m = 3
-        psi, border = solver.solve(np.cos(m * outer.t))
+        psi, border = NumericGreen(outer).neumann_solve(np.cos(m * outer.t))
         assert np.max(np.abs(border)) <= 1e-12
         probes = np.array([[0.3, 0.2], [-0.1, 0.4], [0.25, -0.3]])
         vals = free_single_layer_eval(outer, probes) @ psi[:, 0]
@@ -164,9 +163,8 @@ class TestInteriorNeumannSolver:
 
     def test_rejects_incompatible_data(self):
         outer = make_circle((0, 0), 1.0, 64)
-        solver = InteriorNeumannSolver(outer)
         with pytest.raises(ConditioningError):
-            solver.solve(np.ones(64))
+            NumericGreen(outer).neumann_solve(np.ones(64))
 
 
 class TestDiskNeumannSolver:
@@ -178,24 +176,24 @@ class TestDiskNeumannSolver:
                                              ((-0.2, 0.4), 0.7)])
     def test_matches_the_lu_solver(self, center, rho, n):
         outer = make_circle(center, rho, n)
-        closed, lu = DiskGreen(outer).neumann, InteriorNeumannSolver(outer)
+        closed, lu = DiskGreen(outer), NumericGreen(outer)
         t = outer.t
         flux = np.column_stack([np.cos(t), np.sin(3 * t) - 0.2 * np.cos(7 * t),
                                 np.exp(np.cos(t)) * np.sin(2 * t)])
         flux -= outer.mean(flux)
-        psi, border = closed.solve(flux)
-        psi_lu, border_lu = lu.solve(flux)
+        psi, border = closed.neumann_solve(flux)
+        psi_lu, border_lu = lu.neumann_solve(flux)
         assert np.all(border == 0.0) and np.max(np.abs(border_lu)) <= 1e-13
         assert np.max(np.abs(psi - psi_lu)) <= 1e-13 * np.max(np.abs(psi_lu))
-        trace = closed.trace(psi)
-        expected = lu.s_self @ psi
+        trace = closed.layer_trace(psi)
+        expected = lu.layer_trace(psi)
         assert np.max(np.abs(trace - expected)) <= 1e-14 * np.max(np.abs(expected))
-        assert np.array_equal(closed.trace(psi[:, 1]), trace[:, 1])
+        assert np.array_equal(closed.layer_trace(psi[:, 1]), trace[:, 1])
 
     def test_rejects_incompatible_data(self):
-        solver = DiskGreen(make_circle((0.1, 0), 1.2, 64)).neumann
+        green = DiskGreen(make_circle((0.1, 0), 1.2, 64))
         with pytest.raises(ConditioningError, match="not mean-free"):
-            solver.solve(np.ones(64))
+            green.neumann_solve(np.ones(64))
 
 
 class TestNumericGreen:
@@ -299,13 +297,13 @@ class TestCorrectionGradient:
             return original(subscripts, *operands, **kwargs)
 
         solves = []
-        solve = InteriorNeumannSolver.solve
+        solve = NumericGreen.neumann_solve
 
         def counting(self, flux):
             solves.append(np.shape(flux))
             return solve(self, flux)
 
-        monkeypatch.setattr(InteriorNeumannSolver, "solve", counting)
+        monkeypatch.setattr(NumericGreen, "neumann_solve", counting)
         monkeypatch.setattr(np, "einsum", recording)
         build_scene_operators(scene)
         assert solves == [(outer.n, scene.inclusion.n)]  # one solve, n columns

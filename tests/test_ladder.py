@@ -27,8 +27,7 @@ from npeit import transmission
 from npeit.config import load_config, parse_config
 from npeit.experiments import build_operators, run_sweep
 from npeit.geometry import InclusionScene, make_circle, make_ellipse, make_star
-from npeit.green import (DiskGreen, DiskNeumannSolver, InteriorNeumannSolver,
-                         NumericGreen)
+from npeit.green import DiskGreen, NumericGreen
 from npeit.layers import build_scene_operators
 from npeit.transmission import (solve_background, solve_limit,
                                 solve_transmission, trace_constant)
@@ -180,8 +179,9 @@ count = 64
             second_kind.append(np.shape(lam))
             return real_second_kind(ops, lam, rhs)
 
-        for solver in (DiskNeumannSolver, InteriorNeumannSolver):
-            monkeypatch.setattr(solver, "solve", counting(solver.solve))
+        for kernel in (DiskGreen, NumericGreen):
+            monkeypatch.setattr(kernel, "neumann_solve",
+                                counting(kernel.neumann_solve))
         monkeypatch.setattr(transmission, "_solve_second_kind",
                             counting_second_kind)
         result = run_sweep(parse_config(self.SWEEP), tmp_path)

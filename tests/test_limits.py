@@ -16,12 +16,14 @@ second-kind problem at ``lambda = 1/2`` on the cached pencil of the
 operator set instead, so the two agree to discretization accuracy.  A
 second, independent oracle for the grounded trace puts the net flux in a
 point source at the inclusion centre and keeps ``psi`` mean-free.
-Measured deviations at n = 128 to 512 (star in a disk and in an ellipse,
-both kinds, mean-free and net-flux data, 1 and 2 BLAS threads): at most
-7.6e-16 relative in the traces, 4.1e-12 in ``psi`` and 5.7e-16 in
-``alpha``; the centre-source oracle, 9.5e-16 in the trace and 5.7e-16 in
-``alpha``.  At n = 64 the two discretizations differ by 3.1e-14 in the
-traces and 3.1e-9 in ``psi``, so the tests run at n = 128.
+The tests run at n = 128, where the pencil is the full problem, and at
+256 and 512, where it is a certified block of probes.  Measured
+deviations there (star in a disk and in an ellipse, both kinds,
+mean-free and net-flux data, 1 and 2 BLAS threads): at most 1.1e-15
+relative in the traces, 7.4e-13 in ``psi`` and 6.7e-16 in ``alpha``.
+The centre-source oracle, measured with the full pencil at n = 128 to
+512: 9.5e-16 in the trace and 5.7e-16 in ``alpha``.  At n = 64 the two
+discretizations differ by 3.1e-14 in the traces and 3.1e-9 in ``psi``.
 
 A sweep on the numeric kernel with net-flux data evaluates no kernel at
 points: the grounded limit's net flux is carried by the equilibrium
@@ -49,14 +51,18 @@ TRACE_RTOL = 1e-14
 PSI_RTOL = 1e-11
 
 
-@pytest.fixture(scope="module", params=["disk", "ellipse"])
+# n = 128 runs the full pencil; 256 and 512 its certified block
+@pytest.fixture(scope="module",
+                params=[(kind, n) for n in (N, 256, 512)
+                        for kind in ("disk", "ellipse")],
+                ids=lambda p: p[0] if p[1] == N else f"{p[0]}-n{p[1]}")
 def star_ops(request):
-    outer = (make_circle((0, 0), 1.0, N) if request.param == "disk"
-             else make_ellipse((0, 0), 1.3, 0.9, N))
-    inclusion = make_star((0.1, -0.05), 0.35, [(3, 0.06), (5, 0.02)], N)
+    kind, n = request.param
+    outer = (make_circle((0, 0), 1.0, n) if kind == "disk"
+             else make_ellipse((0, 0), 1.3, 0.9, n))
+    inclusion = make_star((0.1, -0.05), 0.35, [(3, 0.06), (5, 0.02)], n)
     ops = build_scene_operators(InclusionScene(outer, inclusion, 1.3))
-    assert isinstance(ops.green,
-                      DiskGreen if request.param == "disk" else NumericGreen)
+    assert isinstance(ops.green, DiskGreen if kind == "disk" else NumericGreen)
     return ops
 
 

@@ -31,7 +31,7 @@ from npeit.config import parse_config
 from npeit.experiments import run_stability
 from npeit.geometry import (BoundaryCurve, InclusionScene, make_circle,
                             make_ellipse, make_star)
-from npeit.green import DiskGreen, InteriorNeumannSolver, NumericGreen
+from npeit.green import DiskGreen, NumericGreen
 from npeit.layers import build_scene_operators
 from npeit.quadrature import (free_self_matrices, free_single_layer_eval,
                               free_single_layer_gradient)
@@ -109,8 +109,8 @@ def test_numeric_build_work_counts(monkeypatch):
         return solve(self, flux)
 
     green = NumericGreen(outer)
-    solve = InteriorNeumannSolver.solve
-    monkeypatch.setattr(InteriorNeumannSolver, "solve", counting_solve)
+    solve = NumericGreen.neumann_solve
+    monkeypatch.setattr(NumericGreen, "neumann_solve", counting_solve)
     monkeypatch.setattr(NumericGreen, "_require",
                         counting("guard", NumericGreen._require))
     monkeypatch.setattr(BoundaryCurve, "locate",
@@ -127,7 +127,7 @@ def test_numeric_build_work_counts(monkeypatch):
 def test_neumann_solve_holds_no_outer_table(monkeypatch):
     outer = OUTERS["ellipse"]
     started, held = [], []
-    outer_maps, solve = NumericGreen.outer_maps, InteriorNeumannSolver.solve
+    outer_maps, solve = NumericGreen.outer_maps, NumericGreen.neumann_solve
 
     def recording_maps(self, curve):
         started.append(tracemalloc.get_traced_memory()[0])
@@ -139,7 +139,7 @@ def test_neumann_solve_holds_no_outer_table(monkeypatch):
 
     green = NumericGreen(outer)
     monkeypatch.setattr(NumericGreen, "outer_maps", recording_maps)
-    monkeypatch.setattr(InteriorNeumannSolver, "solve", recording_solve)
+    monkeypatch.setattr(NumericGreen, "neumann_solve", recording_solve)
     tracemalloc.start()
     try:
         green.inclusion_blocks(INCLUSION)

@@ -139,7 +139,9 @@ def test_ladder_and_limits_match_the_full_pencil(name, n):
     # grounded density is compared less its net-flux part, a multiple of
     # each pencil's own equilibrium density: the full pencil's is the less
     # accurate one at n = 256 and 512 (eigen-residual 1.8e-14 against
-    # 6.6e-15 in E at n = 256), and moves that part by up to 2.6e-12
+    # 6.6e-15 in E at n = 256), and moves that part by up to 2.6e-12.
+    # test_limits checks the whole grounded density against a dense
+    # bordered solve at n = 128, 256 and 512
     ops = build_scene_operators(InclusionScene(*ORACLE_SCENES[name](n), 1.0))
     oracle = with_full_pencil(ops)
     t = ops.scene.outer.t

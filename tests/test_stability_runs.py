@@ -19,6 +19,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from npeit import experiments
 from npeit.config import parse_config
@@ -26,8 +27,7 @@ from npeit.experiments import (build_operators, run_stability,
                                triple_log_reference)
 from npeit.geometry import (BoundaryCurve, hausdorff_distance,
                             modified_distance)
-from npeit.green import (DiskGreen, DiskNeumannSolver, InteriorNeumannSolver,
-                         NumericGreen)
+from npeit.green import DiskGreen, NumericGreen
 from npeit.transmission import solve_transmission, trace_distance
 
 SCENE = """
@@ -107,7 +107,7 @@ def test_rows_match_the_per_pair_path_bit_for_bit(name, tmp_path):
 
 
 def count_work(monkeypatch) -> Counter:
-    """Count kernel builds, outer Neumann solvers, operator sets,
+    """Count kernel builds, outer Neumann factorizations, operator sets,
     ladder solves and ``locate`` calls on inclusion (star) curves."""
     counts = Counter()
 
@@ -121,9 +121,8 @@ def count_work(monkeypatch) -> Counter:
     for kernel in (DiskGreen, NumericGreen):
         monkeypatch.setattr(kernel, "__init__",
                             counting("green", kernel.__init__))
-    for solver in (DiskNeumannSolver, InteriorNeumannSolver):
-        monkeypatch.setattr(solver, "__init__",
-                            counting("neumann", solver.__init__))
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        counting("neumann", scipy.linalg.lu_factor))
     monkeypatch.setattr(
         experiments, "build_scene_operators",
         counting("operator sets", experiments.build_scene_operators))
@@ -146,7 +145,8 @@ def test_one_kernel_and_one_ladder_per_distinct_inclusion(
     distinct = len({spec for pair in config.stability_pairs for spec in pair})
     assert distinct == pairs + 1  # every pair shares one reference
     assert counts["green"] == 1
-    assert counts["neumann"] == 1
+    # one LU of the outer Neumann problem per run, none on a disk outer
+    assert counts["neumann"] == (name == "ellipse outer")
     assert counts["operator sets"] == counts["ladders"] == pairs + 1
     # one node-to-curve pass per pair direction, none for disk pairs
     star_pairs = name != "tangent disks"
