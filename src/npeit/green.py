@@ -24,12 +24,12 @@ throughout the domain and symmetric.  Two constructions are provided:
   curve (single-layer representation, bordered system fixing the additive
   constant), so its accuracy is spectral in the outer grid.
 
-Both expose the same small surface: per point set, kernel and correction
-values and the correction gradient in the first argument, with nothing
-cached; per operator set, ``inclusion_blocks`` (``R`` and its normal
-derivative on the inclusion nodes) and ``outer_maps`` (one outer x
-inclusion table); and the outer curve's interior Neumann solve,
-``neumann_solve`` with ``layer_trace``.
+Both expose the same small surface: per point set, ``correction_field``,
+the values and first-argument gradient of the correction's layer of a
+source density, with nothing cached; per operator set,
+``inclusion_blocks`` (``R`` and its normal derivative on the inclusion
+nodes) and ``outer_maps`` (one outer x inclusion table); and the outer
+curve's interior Neumann solve, ``neumann_solve`` with ``layer_trace``.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ from .exceptions import ConditioningError, EvaluationDomainError
 from .geometry import BoundaryCurve
 from .quadrature import (
     flux_kernel,
+    free_layer_field,
     free_self_matrices,
-    free_single_layer_eval,
-    free_single_layer_gradient,
     log_kernel,
     pair_table,
 )
@@ -57,10 +56,6 @@ __all__ = [
 # trapezoidal evaluation of smooth layer kernels degrades closer to the
 # curve than a few node spacings; keep a uniform safety margin
 _EVAL_MARGIN_SPACINGS = 3.0
-
-
-def _points(p) -> np.ndarray:
-    return np.atleast_2d(np.asarray(p, dtype=float))
 
 
 class DiskGreen:
@@ -82,13 +77,22 @@ class DiskGreen:
         self.center = outer.center
         self.radius = float(outer.params[0])
 
-    def _require(self, pts, what):
+    def _require(self, pts, what, margin=0.0):
         rho = np.hypot(*(pts - self.center).T)
         if np.any(rho > self.radius * (1 + 1e-12)):
             raise EvaluationDomainError(
                 f"{what} outside the closed outer disk (max radius "
                 f"{np.max(rho):.6g} > {self.radius:.6g})"
             )
+        near = rho > self.radius - margin
+        if margin and near.any():
+            raise EvaluationDomainError(
+                f"{what}: {tuple(pts[int(np.argmax(near))])} is within "
+                f"{margin:.3g} of the outer boundary; the trapezoidal rule "
+                "is inaccurate there")
+
+    def _require_far_inside(self, pts, what):
+        self._require(pts, what, _EVAL_MARGIN_SPACINGS * self.outer.max_spacing())
 
     # -- kernel surface -------------------------------------------------------
 
@@ -99,22 +103,13 @@ class DiskGreen:
         self._require(x, "evaluation points")
         return (*self._reflected(x, x, curve.normals[:, None]), None)
 
-    def correction(self, x, y) -> np.ndarray:
-        """``R(x_i, y_j)`` for ``x`` anywhere in the closed disk and ``y``
-        strictly inside."""
-        x, y = _points(x), _points(y)
-        self._require(x, "evaluation points")
-        self._require(y, "source points")
-        return self._reflected(x, y)[0]
-
-    def correction_gradient_x(self, x, y) -> np.ndarray:
-        """``grad_x R(x_i, y_j)``, shape ``(P, Q, 2)``."""
-        return self._reflected(_points(x), _points(y))[1]
-
-    def kernel(self, x, y) -> np.ndarray:
-        """``N(x_i, y_j)`` for distinct point sets."""
-        return log_kernel(pair_table(_points(x), _points(y))[0]) \
-            + self.correction(x, y)
+    def correction_field(self, x, y, density) -> tuple:
+        """Values and ``x``-gradients of ``sum_j R(x, y_j) density_j`` (a
+        vector or columns of source strengths), shaped ``(P, ...)`` and
+        ``(P, 2, ...)``, for ``(P, 2)`` and ``(J, 2)`` point arrays in the
+        domain; callers guard both."""
+        values, grads = self._reflected(x, y)
+        return values @ density, np.moveaxis(grads, 2, 1) @ density
 
     # -- interior Neumann solve of the outer curve ----------------------------
 
@@ -264,15 +259,7 @@ class NumericGreen:
                 "boundary; the numeric kernel is inaccurate there"
             )
 
-    _require = _require_far_inside  # the guard the shared methods call
-
-    def _correction_data(self, y, x=None):
-        # (psi, const) of sources y; one guard per point set, x first
-        if x is not None:
-            self._require(x, "evaluation points")
-        if x is None or not np.array_equal(x, y):
-            self._require(y, "source points")
-        return self._trace(*self._outer_table(y)[:2])[1]
+    _require = _require_far_inside  # the guard both kernels name alike
 
     def _neumann_data(self, dx, r2pi):
         # the correction's outer Neumann data, one column per source
@@ -305,19 +292,18 @@ class NumericGreen:
         maps, (psi, const) = self.outer_maps(curve)
         return maps[0] @ psi + const, maps[1] @ psi, maps
 
-    def correction(self, x, y) -> np.ndarray:
-        x, y = _points(x), _points(y)
-        psi, const = self._correction_data(y, x)
-        return free_single_layer_eval(self.outer, x) @ psi + const
+    def correction_field(self, x, y, density) -> tuple:
+        """:meth:`DiskGreen.correction_field`: the sources' free logarithm
+        and Neumann data on the outer nodes contracted with ``density``,
+        one Neumann solve for the density ``psi`` and constant of the sum,
+        and one outer evaluation of the free layer of ``psi``."""
+        logs, data, _ = self._outer_table(y)
+        d = np.reshape(density, (logs.shape[1], -1))
+        psi, const = self._trace(logs @ d, data @ d)[1]
+        shape = np.shape(density)[1:]
+        values, grads = free_layer_field(self.outer, x, psi.reshape((-1,) + shape))
+        return values + const.reshape(shape), grads
 
-    def correction_gradient_x(self, x, y) -> np.ndarray:
-        x, y = _points(x), _points(y)
-        psi, _ = self._correction_data(y, x)
-        # one stacked BLAS product over the outer nodes, one per component
-        grad = np.moveaxis(free_single_layer_gradient(self.outer, x), 2, 0)
-        return np.moveaxis(grad @ psi, 0, 2)
-
-    kernel = DiskGreen.kernel  # the free logarithm plus this correction
     outer_maps = DiskGreen.outer_maps
     _outer_table = DiskGreen._outer_table
 

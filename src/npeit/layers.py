@@ -42,12 +42,11 @@ import scipy.linalg
 from .exceptions import EvaluationDomainError
 from .geometry import BoundaryCurve, InclusionScene, distance_to_boundary
 from .green import _EVAL_MARGIN_SPACINGS, make_green
-from .quadrature import free_self_matrices, free_single_layer_gradient
+from .quadrature import free_layer_field, free_self_matrices
 
 __all__ = [
     "SceneOperators",
     "build_scene_operators",
-    "PotentialField",
 ]
 
 log = logging.getLogger(__name__)
@@ -129,9 +128,31 @@ class SceneOperators:
 
     # -- fields ---------------------------------------------------------------
 
-    def potential(self, g: np.ndarray) -> "PotentialField":
-        """Single-layer potential of nodal density ``g`` on the inclusion."""
-        return PotentialField(self.green, self.curve, np.asarray(g, float))
+    def field(self, points, phi, psi=0.0, constant=0.0) -> tuple:
+        """Values and gradients, shaped ``(P, ...)`` and ``(P, 2, ...)``, of
+        ``constant`` plus the free single layer of ``psi`` on the outer
+        curve plus the layer ``x -> int N(x, y) phi(y) dsigma(y)`` on the
+        inclusion (nodal values, vectors or columns; a scalar drops its
+        layer).  One guard per curve: the points stay three node spacings
+        from the outer curve, and from the inclusion if ``phi`` is a
+        layer, since the trapezoidal rule degrades closer in."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        curve = self.curve
+        if np.ndim(phi):
+            margin = _EVAL_MARGIN_SPACINGS * curve.max_spacing()
+            near = distance_to_boundary(curve, pts) < margin
+            if near.any():
+                raise EvaluationDomainError(
+                    f"evaluation point {tuple(pts[int(np.argmax(near))])} is "
+                    f"within {margin:.3g} of the source curve; move away or "
+                    "refine the grid")
+        self.green._require_far_inside(pts, "evaluation points")
+        terms = [free_layer_field(self.scene.outer, pts, psi)] if np.ndim(psi) else []
+        if np.ndim(phi):
+            terms.append(free_layer_field(curve, pts, phi))
+            terms.append(self.green.correction_field(
+                pts, curve.nodes, (np.asarray(phi).T * curve.weights).T))
+        return tuple(sum(parts) for parts in zip((constant, 0.0), *terms))
 
     def outer_trace(self, g: np.ndarray) -> np.ndarray:
         """Trace of the potential of ``g`` (a vector or columns) on the
@@ -226,47 +247,3 @@ def build_scene_operators(scene: InclusionScene, green=None) -> SceneOperators:
         kstar_plain=kstar_plain, correction_defect=defect,
         outer_blocks=outer_blocks,
     )
-
-
-@dataclass
-class PotentialField:
-    """Single-layer potential ``x -> int N(x, y) g(y) dsigma(y)``.
-
-    Evaluation is restricted to points at least three node spacings away
-    from the source curve (the trapezoidal rule degrades closer in) and
-    within the outer domain; traces on the two boundaries go through the
-    dedicated quadrature paths instead of this generic evaluator.
-    """
-
-    green: object
-    source: BoundaryCurve
-    density: np.ndarray
-
-    def _guard(self, pts):
-        margin = _EVAL_MARGIN_SPACINGS * self.source.max_spacing()
-        near = distance_to_boundary(self.source, pts) < margin
-        if near.any():
-            p = pts[int(np.argmax(near))]
-            raise EvaluationDomainError(
-                f"evaluation point {tuple(p)} is within {margin:.3g} of "
-                "the source curve; move away or refine the grid"
-            )
-
-    def evaluate(self, points) -> np.ndarray:
-        """Field values at interior points away from the source curve."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        self._guard(pts)
-        gw = self.density * self.source.weights
-        return self.green.kernel(pts, self.source.nodes) @ gw
-
-    def gradient(self, points) -> np.ndarray:
-        """Field gradient at interior points away from the source curve."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        self._guard(pts)
-        free = np.einsum("pjd,j->pd",
-                         free_single_layer_gradient(self.source, pts),
-                         self.density)
-        corr = np.einsum("pjd,j->pd",
-                         self.green.correction_gradient_x(pts, self.source.nodes),
-                         self.density * self.source.weights)
-        return free + corr

@@ -30,8 +30,7 @@ __all__ = [
     "log_kernel",
     "flux_kernel",
     "free_self_matrices",
-    "free_single_layer_eval",
-    "free_single_layer_gradient",
+    "free_layer_field",
 ]
 
 
@@ -113,23 +112,15 @@ def free_self_matrices(curve: BoundaryCurve) -> tuple[np.ndarray, np.ndarray]:
     return s, kstar
 
 
-def free_single_layer_eval(curve: BoundaryCurve, points) -> np.ndarray:
-    """Evaluation matrix of the free single layer at off-curve points.
-
-    ``A[p, j] = (1/2 pi) ln|x_p - q_j| w_j``; plain trapezoid, so the
-    points must stay several node spacings away from the curve (enforced
-    by callers, not here).
+def free_layer_field(curve: BoundaryCurve, points, density) -> tuple:
+    """Values and gradients of the free single layer of nodal density
+    values (a vector or columns) at off-curve points, shaped ``(P, ...)``
+    and ``(P, 2, ...)``: ``(1/2 pi) ln|x_p - q_j|`` and
+    ``(x_p - q_j) / (2 pi |x_p - q_j|^2)`` against ``density_j w_j``.
+    Plain trapezoid, so the points must stay several node spacings away
+    from the curve (enforced by callers, not here).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return log_kernel(pair_table(pts, curve.nodes)[0]) * curve.weights
-
-
-def free_single_layer_gradient(curve: BoundaryCurve, points) -> np.ndarray:
-    """Gradient of the free single layer at off-curve points.
-
-    Returns shape ``(n_points, n_nodes, 2)`` with
-    ``G[p, j] = (x_p - q_j) w_j / (2 pi |x_p - q_j|^2)``, so that
-    ``np.einsum('pjd,j->pd', G, g)`` is the potential gradient.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return flux_kernel(*pair_table(pts, curve.nodes)) * curve.weights[:, None]
+    dx, r2pi = pair_table(np.atleast_2d(np.asarray(points, dtype=float)),
+                          curve.nodes)
+    g = (np.asarray(density, dtype=float).T * curve.weights).T
+    return log_kernel(dx) @ g, np.moveaxis(flux_kernel(dx, r2pi), 2, 1) @ g

@@ -35,7 +35,6 @@ import scipy.linalg
 from .exceptions import SolverError
 from .geometry import InclusionScene
 from .layers import SceneOperators
-from .quadrature import free_single_layer_eval, free_single_layer_gradient
 from .spectrum import NPSpectrum
 
 __all__ = [
@@ -78,7 +77,6 @@ class BackgroundField:
     For columns of data every array holds one column per load.
     """
 
-    scene: InclusionScene
     f: np.ndarray
     psi: np.ndarray = field(repr=False)
     constant: float
@@ -86,18 +84,6 @@ class BackgroundField:
     values: np.ndarray = field(repr=False)  # on the inclusion nodes,
     flux: np.ndarray = field(repr=False)  # and the normal derivative there
     removed_mean: float = 0.0
-
-    def evaluate(self, points) -> np.ndarray:
-        """Values at interior points (several outer spacings inside)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return free_single_layer_eval(self.scene.outer, pts) @ self.psi \
-            + self.constant
-
-    def gradient(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.einsum("pjd,j->pd",
-                         free_single_layer_gradient(self.scene.outer, pts),
-                         self.psi)
 
 
 def solve_background(ops: SceneOperators, f: np.ndarray) -> BackgroundField:
@@ -116,7 +102,7 @@ def solve_background(ops: SceneOperators, f: np.ndarray) -> BackgroundField:
     raw_trace = ops.green.layer_trace(psi)
     constant = -outer.mean(raw_trace)
     values_map, flux_map = ops.background_maps
-    return BackgroundField(scene=ops.scene, f=h, psi=psi, constant=constant,
+    return BackgroundField(f=h, psi=psi, constant=constant,
                            trace=raw_trace + constant,
                            values=values_map @ psi + constant,
                            flux=flux_map @ psi, removed_mean=removed)
@@ -165,14 +151,10 @@ class TransmissionSolution:
         return self._columns(self.background.flux) \
             + self.ops.side_flux(self.phi, side)
 
-    def evaluate(self, points) -> np.ndarray:
-        """Values at interior points (one column of ``phi``)."""
-        return self.background.evaluate(points) \
-            + self.ops.potential(self.phi).evaluate(points)
-
-    def gradient(self, points) -> np.ndarray:
-        return self.background.gradient(points) \
-            + self.ops.potential(self.phi).gradient(points)
+    def field(self, points) -> tuple:
+        """Values and gradients at interior points (:meth:`SceneOperators.field`)."""
+        bg = self.background
+        return self.ops.field(points, self.phi, self._columns(bg.psi), bg.constant)
 
     def flux_matching_residual(self):
         """Defect of the conormal matching ``k flux(-) = k0 flux(+)``."""
@@ -311,11 +293,11 @@ class LimitSolution:
     outer_mean: float
     trace: np.ndarray = field(repr=False)
 
-    def evaluate(self, points) -> np.ndarray:
-        """Values in the region between the curves (normalized)."""
-        return self.background.evaluate(points) \
-            + self.ops.potential(self.psi).evaluate(points) \
-            + self.alpha - self.outer_mean
+    def field(self, points) -> tuple:
+        """Values (normalized) and gradients in the region between the curves."""
+        bg = self.background
+        return self.ops.field(points, self.psi, bg.psi,
+                              bg.constant + self.alpha - self.outer_mean)
 
     def exterior_flux(self) -> np.ndarray:
         """Exterior flux on the inclusion, net flux included."""

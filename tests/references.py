@@ -10,7 +10,7 @@ import scipy.linalg
 from npeit.exceptions import CurveError
 from npeit.geometry import BoundaryCurve, make_circle, make_ellipse, make_star
 from npeit.layers import SceneOperators
-from npeit.quadrature import free_self_matrices
+from npeit.quadrature import free_self_matrices, log_kernel, pair_table
 
 
 class HatForms:
@@ -48,6 +48,19 @@ def outer_trace_kernel(green, y) -> np.ndarray:
     y = np.atleast_2d(np.asarray(y, dtype=float))
     green._require(y, "source points")
     return green._trace(*green._outer_table(y)[:2])[0]
+
+
+def correction(green, x, y) -> np.ndarray:
+    """``R(x_i, y_j)``, one source per column: the kernel's
+    ``correction_field`` of unit strengths (no guard)."""
+    x, y = np.atleast_2d(x).astype(float), np.atleast_2d(y).astype(float)
+    return green.correction_field(x, y, np.eye(len(y)))[0]
+
+
+def kernel(green, x, y) -> np.ndarray:
+    """``N(x_i, y_j)``: the free logarithm plus :func:`correction`."""
+    x, y = np.atleast_2d(x).astype(float), np.atleast_2d(y).astype(float)
+    return log_kernel(pair_table(x, y)[0]) + correction(green, x, y)
 
 
 def full_pencil(ops):

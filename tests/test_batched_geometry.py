@@ -29,7 +29,7 @@ from npeit.geometry import (InclusionScene, RegionWithHole,
                             make_circle, make_ellipse, make_star,
                             parse_curve_spec, region_distance)
 from npeit.green import NumericGreen
-from npeit.layers import PotentialField, build_scene_operators
+from npeit.layers import build_scene_operators
 
 from references import (bracket_minima, golden_distance, lowest_minimum,
                         outer_trace_kernel, rotated)
@@ -298,33 +298,39 @@ class TestGuardParity:
 
     @pytest.mark.parametrize("outer", OUTERS, ids=["ellipse", "star"])
     def test_evaluation_points_before_sources(self, outer):
-        # one guard per point set, yet bad evaluation points still raise
-        # before bad sources, also when both are the same set, and a set
-        # that failed is never taken as passed later
+        # a field guards its evaluation points once per curve, the
+        # inclusion's first, and not the inclusion nodes it sums over (the
+        # build guarded them); sources report as sources, and a set that
+        # failed is never taken as passed later
+        inclusion = make_circle(outer.center, 0.2, 64)
         green = NumericGreen(outer)
+        ops = build_scene_operators(InclusionScene(outer, inclusion), green)
         margin = MARGIN_SPACINGS * outer.max_spacing()
         good, *bad = _probe_sets(outer, margin)
-        calls = (green.correction, green.correction_gradient_x)
+        phi, psi = np.ones(inclusion.n), np.cos(outer.t)
+        calls = (lambda x: ops.field(x, phi), lambda x: ops.field(x, 0, psi))
         for call in calls:
-            assert outcome(call, good, good) is None
+            assert outcome(call, good) is None
         for x in bad:
             expected = outcome(ref_require_far_inside, outer, x, "evaluation points")
-            for call in calls:
-                assert outcome(call, x, good) == expected
-                for y in bad:
-                    assert outcome(call, x, y) == expected
+            for call in calls * 2:
+                assert outcome(call, x) == expected
+            both = np.vstack([x, inclusion.nodes[:1]])
+            assert outcome(calls[0], both) == outcome(ref_guard, inclusion, both)
+            assert outcome(calls[1], both) == expected
         for y in bad:
             expected = outcome(ref_require_far_inside, outer, y, "source points")
             assert outcome(outer_trace_kernel, green, y) == expected
-            for call in calls:
-                assert outcome(call, good, y) == expected
 
     @pytest.mark.parametrize("source", OUTERS, ids=["ellipse", "star"])
     def test_potential_guard(self, source):
-        field = PotentialField(None, source, np.ones(source.n))
+        # the inclusion's guard in a wide disk, whose own guard passes
+        ops = build_scene_operators(InclusionScene(
+            make_circle(source.center, 4.0, 512), source))
         margin = MARGIN_SPACINGS * source.max_spacing()
         for pts in _probe_sets(source, margin):
-            assert outcome(field._guard, pts) == outcome(ref_guard, source, pts)
+            assert outcome(ops.field, pts, np.ones(source.n)) \
+                == outcome(ref_guard, source, pts)
 
     @settings(max_examples=30, deadline=None)
     @given(inner=curves(node_counts=(16, 32)), outer_index=st.integers(0, 1))

@@ -12,9 +12,9 @@ from npeit.exceptions import ConditioningError, EvaluationDomainError
 from npeit.geometry import InclusionScene, make_circle, make_ellipse, make_star
 from npeit.green import DiskGreen, NumericGreen, make_green
 from npeit.layers import build_scene_operators
-from npeit.quadrature import free_single_layer_eval, free_single_layer_gradient
+from npeit.quadrature import flux_kernel, free_layer_field, log_kernel, pair_table
 
-from references import outer_trace_kernel
+from references import correction, kernel, outer_trace_kernel
 
 INTERIOR_POINTS = np.array([[0.2, 0.3], [-0.4, 0.1], [0.05, -0.35], [0.1, 0.02]])
 SOURCE_POINTS = np.array([[0.3, 0.1], [0.0, 0.0], [-0.2, 0.45]])
@@ -64,13 +64,13 @@ class TestDiskGreen:
         self.green = DiskGreen(self.outer)
 
     def test_center_source_closed_form(self):
-        val = self.green.kernel([[0.5, 0.0]], [[0.0, 0.0]])[0, 0]
+        val = kernel(self.green, [[0.5, 0.0]], [[0.0, 0.0]])[0, 0]
         assert val == pytest.approx(np.log(0.5) / (2 * np.pi), abs=1e-15)
         assert val == pytest.approx(-0.11031780007632582, abs=1e-15)
 
     def test_correction_symmetry(self):
-        r1 = self.green.correction(INTERIOR_POINTS, SOURCE_POINTS)
-        r2 = self.green.correction(SOURCE_POINTS, INTERIOR_POINTS)
+        r1 = correction(self.green, INTERIOR_POINTS, SOURCE_POINTS)
+        r2 = correction(self.green, SOURCE_POINTS, INTERIOR_POINTS)
         assert np.max(np.abs(r1 - r2.T)) <= 1e-15
 
     def test_zero_boundary_mean(self):
@@ -82,13 +82,13 @@ class TestDiskGreen:
         h = 1e-6
         theta = np.linspace(0, 2 * np.pi, 32, endpoint=False)
         ring = np.column_stack([np.cos(theta), np.sin(theta)])
-        vals_in = self.green.kernel(ring * (1 - h), SOURCE_POINTS)
-        vals_on = self.green.kernel(ring, SOURCE_POINTS)
+        vals_in = kernel(self.green, ring * (1 - h), SOURCE_POINTS)
+        vals_on = kernel(self.green, ring, SOURCE_POINTS)
         dn = (vals_on - vals_in) / h
         assert np.max(np.abs(dn - 1.0 / (2 * np.pi))) <= 1e-5
 
     def test_boundary_trace_consistency(self):
-        on_boundary = self.green.kernel(self.outer.nodes, SOURCE_POINTS)
+        on_boundary = kernel(self.green, self.outer.nodes, SOURCE_POINTS)
         trace = outer_trace_kernel(self.green, SOURCE_POINTS)
         assert np.max(np.abs(on_boundary - trace)) <= 1e-13
 
@@ -99,23 +99,26 @@ class TestDiskGreen:
             x0 = np.array([0.15, -0.2])
             stencil = np.array([x0, x0 + [h, 0], x0 - [h, 0],
                                 x0 + [0, h], x0 - [0, h]])
-            vals = self.green.correction(stencil, [y])[:, 0]
+            vals = correction(self.green, stencil, [y])[:, 0]
             lap = (vals[1] + vals[2] + vals[3] + vals[4] - 4 * vals[0]) / h**2
             assert abs(lap) <= 1e-5
 
     def test_correction_gradient_matches_fd(self):
         h = 1e-6
-        g = self.green.correction_gradient_x(INTERIOR_POINTS, SOURCE_POINTS)
+        g = self.green.correction_field(INTERIOR_POINTS, SOURCE_POINTS,
+                                        np.eye(len(SOURCE_POINTS)))[1]
         for d in range(2):
             e = np.zeros(2)
             e[d] = h
-            up = self.green.correction(INTERIOR_POINTS + e, SOURCE_POINTS)
-            dn = self.green.correction(INTERIOR_POINTS - e, SOURCE_POINTS)
-            assert np.max(np.abs(g[..., d] - (up - dn) / (2 * h))) <= 1e-9
+            up = correction(self.green, INTERIOR_POINTS + e, SOURCE_POINTS)
+            dn = correction(self.green, INTERIOR_POINTS - e, SOURCE_POINTS)
+            assert np.max(np.abs(g[:, d] - (up - dn) / (2 * h))) <= 1e-9
 
     def test_rejects_points_outside(self):
-        with pytest.raises(EvaluationDomainError):
-            self.green.correction([[1.5, 0.0]], SOURCE_POINTS)
+        ops = build_scene_operators(InclusionScene(
+            self.outer, make_circle((0.1, 0.0), 0.3, 64)), self.green)
+        with pytest.raises(EvaluationDomainError, match="closed outer disk"):
+            ops.field([[1.5, 0.0]], np.ones(64))
         with pytest.raises(EvaluationDomainError):
             outer_trace_kernel(self.green, [[0.0, 1.2]])
 
@@ -135,8 +138,8 @@ class TestDiskGreen:
         # against the defining properties instead of a formula: zero mean
         # holds above, and the value at a known point matches the free
         # log plus a constant in x for the center source
-        vals = green.kernel(np.array([[1.2, -0.25], [0.9, -0.25]]),
-                            [[0.5, -0.25]])[:, 0]
+        vals = kernel(green, np.array([[1.2, -0.25], [0.9, -0.25]]),
+                      [[0.5, -0.25]])[:, 0]
         diff = vals[0] - vals[1]
         expect = (np.log(0.7) - np.log(0.4)) / (2 * np.pi)
         assert diff == pytest.approx(expect, abs=1e-14)
@@ -154,7 +157,7 @@ class TestInteriorNeumannSolver:
         psi, border = NumericGreen(outer).neumann_solve(np.cos(m * outer.t))
         assert np.max(np.abs(border)) <= 1e-12
         probes = np.array([[0.3, 0.2], [-0.1, 0.4], [0.25, -0.3]])
-        vals = free_single_layer_eval(outer, probes) @ psi[:, 0]
+        vals = free_layer_field(outer, probes, psi[:, 0])[0]
         rho = np.hypot(probes[:, 0], probes[:, 1])
         th = np.arctan2(probes[:, 1], probes[:, 0])
         expect = rho**m * np.cos(m * th) / m
@@ -200,19 +203,20 @@ class TestNumericGreen:
     def test_matches_disk_closed_form(self):
         outer = make_circle((0, 0), 1.0, 128)
         ng, dg = NumericGreen(outer), DiskGreen(outer)
-        assert np.max(np.abs(ng.kernel(INTERIOR_POINTS, SOURCE_POINTS)
-                             - dg.kernel(INTERIOR_POINTS, SOURCE_POINTS))) <= 1e-12
+        assert np.max(np.abs(kernel(ng, INTERIOR_POINTS, SOURCE_POINTS)
+                             - kernel(dg, INTERIOR_POINTS, SOURCE_POINTS))) <= 1e-12
         assert np.max(np.abs(outer_trace_kernel(ng, SOURCE_POINTS)
                              - outer_trace_kernel(dg, SOURCE_POINTS))) <= 1e-12
+        unit = np.eye(len(SOURCE_POINTS))
         assert np.max(np.abs(
-            ng.correction_gradient_x(INTERIOR_POINTS, SOURCE_POINTS)
-            - dg.correction_gradient_x(INTERIOR_POINTS, SOURCE_POINTS))) <= 1e-11
+            ng.correction_field(INTERIOR_POINTS, SOURCE_POINTS, unit)[1]
+            - dg.correction_field(INTERIOR_POINTS, SOURCE_POINTS, unit)[1])) <= 1e-11
 
     def test_star_outer_invariants(self):
         star = make_star((0, 0), 1.0, [(4, 0.1)], 192)
         ng = NumericGreen(star)
-        r1 = ng.correction(INTERIOR_POINTS, SOURCE_POINTS)
-        r2 = ng.correction(SOURCE_POINTS, INTERIOR_POINTS)
+        r1 = correction(ng, INTERIOR_POINTS, SOURCE_POINTS)
+        r2 = correction(ng, SOURCE_POINTS, INTERIOR_POINTS)
         assert np.max(np.abs(r1 - r2.T)) <= 1e-12  # symmetry
         tr = outer_trace_kernel(ng, SOURCE_POINTS)
         assert np.max(np.abs(star.weights @ tr)) <= 1e-12  # zero mean
@@ -224,17 +228,19 @@ class TestNumericGreen:
         x0 = np.array([0.15, -0.2])
         stencil = np.array([x0, x0 + [h, 0], x0 - [h, 0],
                             x0 + [0, h], x0 - [0, h]])
-        vals = ng.correction(stencil, [[0.3, 0.1]])[:, 0]
+        vals = correction(ng, stencil, [[0.3, 0.1]])[:, 0]
         lap = (vals[1] + vals[2] + vals[3] + vals[4] - 4 * vals[0]) / h**2
         assert abs(lap) <= 1e-5
 
     def test_rejects_near_boundary_evaluation(self):
         outer = make_circle((0, 0), 1.0, 64)
         ng = NumericGreen(outer)
-        with pytest.raises(EvaluationDomainError):
-            ng.correction([[0.99, 0.0]], SOURCE_POINTS)
-        with pytest.raises(EvaluationDomainError):
-            ng.correction(INTERIOR_POINTS, [[0.99, 0.0]])
+        ops = build_scene_operators(
+            InclusionScene(outer, make_circle((0.1, 0.0), 0.3, 64)), ng)
+        with pytest.raises(EvaluationDomainError, match="numeric kernel"):
+            ops.field([[0.99, 0.0]], np.ones(64))
+        with pytest.raises(EvaluationDomainError, match="source points"):
+            outer_trace_kernel(ng, [[0.99, 0.0]])
 
     def test_factory(self):
         circ = make_circle((0, 0), 1.0, 64)
@@ -244,7 +250,7 @@ class TestNumericGreen:
 
 
 # ---------------------------------------------------------------------------
-# the correction gradient as one stacked matrix product
+# the correction field of a source density
 # ---------------------------------------------------------------------------
 
 GRADIENT_OUTERS = [make_ellipse((0, 0), 1.3, 0.8, 128),
@@ -252,37 +258,52 @@ GRADIENT_OUTERS = [make_ellipse((0, 0), 1.3, 0.8, 128),
 INCLUSION_NODES = make_star((0.1, 0), 0.4, [(3, 0.05)], 96).nodes
 
 
-def einsum_correction_gradient(green, x, y):
-    """Frozen copy of the contraction over the outer nodes by ``einsum``."""
-    psi, _ = green._correction_data(np.asarray(y, float))
-    grad = free_single_layer_gradient(green.outer, x)
-    return np.einsum("pjd,jq->pqd", grad, psi)
+def per_source_correction_field(green, x, y, density):
+    """Frozen reference: each source's outer density ``psi`` and constant
+    by its own Neumann solve, the free outer layer's values and gradient
+    tables at ``x``, and the contractions with ``density`` by ``einsum``."""
+    psi, const = green._trace(*green._outer_table(np.asarray(y, float))[:2])[1]
+    dx, r2pi = pair_table(np.asarray(x, float), green.outer.nodes)
+    w = green.outer.weights
+    values = np.einsum("pj,jq,q->p", log_kernel(dx) * w, psi, density)
+    grads = np.einsum("pjd,jq,q->pd", flux_kernel(dx, r2pi) * w[:, None],
+                      psi, density)
+    return values + const @ density, grads
 
 
-class TestCorrectionGradient:
+class TestCorrectionField:
     @pytest.mark.parametrize("outer", GRADIENT_OUTERS, ids=["ellipse", "star"])
     @pytest.mark.parametrize("x, y", [(INTERIOR_POINTS, SOURCE_POINTS),
                                       (INCLUSION_NODES, INCLUSION_NODES)],
                              ids=["points", "inclusion-nodes"])
     def test_matches_einsum_contraction(self, outer, x, y):
+        # the density contracts the Neumann data before the one solve; the
+        # per-source solves contracted after it give the same field
         green = NumericGreen(outer)
-        got = green.correction_gradient_x(x, y)
-        expected = einsum_correction_gradient(green, x, y)
-        assert got.shape == expected.shape == (len(x), len(y), 2)
-        scale = np.max(np.abs(expected))
-        assert np.max(np.abs(got - expected)) <= 1e-13 * scale
+        density = np.random.default_rng(len(y)).standard_normal(len(y))
+        got = green.correction_field(x, y, density)
+        expected = per_source_correction_field(green, x, y, density)
+        for g, e, shape in zip(got, expected, [(len(x),), (len(x), 2)]):
+            assert g.shape == e.shape == shape
+            assert np.max(np.abs(g - e)) <= 1e-13 * np.max(np.abs(e))
+        columns = np.column_stack([density, np.ones(len(y))])
+        values, grads = green.correction_field(x, y, columns)
+        assert values.shape == (len(x), 2) and grads.shape == (len(x), 2, 2)
+        assert np.max(np.abs(values[:, 0] - got[0])) <= 1e-13 * np.max(np.abs(got[0]))
+        assert np.max(np.abs(grads[..., 0] - got[1])) <= 1e-13 * np.max(np.abs(got[1]))
 
     @pytest.mark.parametrize("outer", GRADIENT_OUTERS, ids=["ellipse", "star"])
     def test_matches_fd_of_correction(self, outer):
         green = NumericGreen(outer)
         h = 1e-6
-        g = green.correction_gradient_x(INTERIOR_POINTS, SOURCE_POINTS)
+        g = green.correction_field(INTERIOR_POINTS, SOURCE_POINTS,
+                                   np.eye(len(SOURCE_POINTS)))[1]
         for d in range(2):
             e = np.zeros(2)
             e[d] = h
-            up = green.correction(INTERIOR_POINTS + e, SOURCE_POINTS)
-            dn = green.correction(INTERIOR_POINTS - e, SOURCE_POINTS)
-            assert np.max(np.abs(g[..., d] - (up - dn) / (2 * h))) <= 1e-10
+            up = correction(green, INTERIOR_POINTS + e, SOURCE_POINTS)
+            dn = correction(green, INTERIOR_POINTS - e, SOURCE_POINTS)
+            assert np.max(np.abs(g[:, d] - (up - dn) / (2 * h))) <= 1e-10
 
     def test_build_contracts_no_outer_index_by_einsum(self, monkeypatch):
         # outer and inclusion node counts differ, so an operand axis of the

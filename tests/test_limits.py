@@ -44,7 +44,7 @@ from npeit.green import DiskGreen, NumericGreen
 from npeit.layers import build_scene_operators
 from npeit.transmission import solve_limit, solve_transmission, trace_constant
 
-from references import HatForms, outer_trace_kernel, record_pencils
+from references import HatForms, kernel, outer_trace_kernel, record_pencils
 
 N = 128
 TRACE_RTOL = 1e-14
@@ -76,7 +76,7 @@ def bordered_limit(ops, lim, kind, centre_source=False):
     beta = 0.0 if centre_source else lim.beta
     v = lim.background.values
     if centre_source:
-        v = v + lim.beta * ops.green.kernel(curve.nodes, [curve.center])[:, 0]
+        v = v + lim.beta * kernel(ops.green, curve.nodes, [curve.center])[:, 0]
     system = np.zeros((n + 1, n + 1))
     system[:n, :n] = -HatForms(ops).s_plain
     system[:n, n] = 1.0 if kind == "grounded" else -1.0
@@ -197,7 +197,6 @@ def test_numeric_kernel_sweep_makes_no_point_solves(tmp_path, monkeypatch):
     def point_solve(*args, **kwargs):
         raise AssertionError("per-point kernel evaluation during a sweep")
 
-    for name in ("kernel", "_correction_data"):
-        monkeypatch.setattr(NumericGreen, name, point_solve)
+    monkeypatch.setattr(NumericGreen, "correction_field", point_solve)
     result = run_sweep(config, tmp_path)
     assert len(result.ks) == 5 and np.all(np.isfinite(result.dist_dirichlet))

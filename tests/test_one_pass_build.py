@@ -4,10 +4,10 @@
 outer x inclusion table per scene, and asks the outer kernel for the
 inclusion's blocks in one call.  Pinned behavior:
   * the single-layer matrix (``E / w`` by rows), ``kstar_plain``,
-    ``outer_trace_matrix`` and ``background_maps`` agree with the per-point kernel API (``correction``,
-    ``correction_gradient_x`` contracted with the normals,
-    ``references.outer_trace_kernel``, ``free_single_layer_eval`` and
-    ``free_single_layer_gradient``) to 1e-13 relative, on both kernels, on
+    ``outer_trace_matrix`` and ``background_maps`` agree with the per-point
+    fields of unit densities (the kernel's ``correction_field``, its
+    gradient contracted with the normals, ``references.outer_trace_kernel``
+    and ``free_layer_field``) to 1e-13 relative, on both kernels, on
     ellipse and star outers, and on ``NumericGreen`` of a circle against
     the closed form;
   * the work counts on ``NumericGreen``: one domain guard, one ``locate``
@@ -18,7 +18,10 @@ inclusion's blocks in one call.  Pinned behavior:
     then holds three outer x inclusion arrays (values, flux and the
     Neumann data);
   * the kernel keeps nothing per inclusion: a stability run on an ellipse
-    outer leaves no inclusion node set in it.
+    outer leaves no inclusion node set in it;
+  * an interior field evaluates one distance per curve, and on
+    ``NumericGreen`` makes one Neumann solve with one column and no
+    points x inclusion x outer array.
 """
 
 import tracemalloc
@@ -26,15 +29,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from npeit import experiments, green as green_module, quadrature
+from npeit import experiments, geometry, green as green_module, layers, quadrature
 from npeit.config import parse_config
 from npeit.experiments import run_stability
 from npeit.geometry import (BoundaryCurve, InclusionScene, make_circle,
                             make_ellipse, make_star)
 from npeit.green import DiskGreen, NumericGreen
 from npeit.layers import build_scene_operators
-from npeit.quadrature import (free_self_matrices, free_single_layer_eval,
-                              free_single_layer_gradient)
+from npeit.quadrature import free_layer_field, free_self_matrices
 from npeit.spectrum import solve_spectrum
 
 from references import outer_trace_kernel
@@ -47,18 +49,18 @@ OUTERS = {"disk": make_circle((0.05, 0.0), 1.1, 128),
 
 def per_point_operators(green, curve):
     """``s_plain``, ``kstar_plain``, the outer-trace matrix and the
-    background maps from the per-point kernel API."""
+    background maps from the per-point fields of unit densities."""
     x, w, nu = curve.nodes, curve.weights, curve.normals
     s_free, k_free = free_self_matrices(curve)
-    corr = green.correction(x, x)
-    dnu = np.einsum("ijd,id->ij", green.correction_gradient_x(x, x), nu)
+    corr, grad = green.correction_field(x, x, np.eye(curve.n))
+    dnu = np.einsum("idj,id->ij", grad, nu)
     outer = green.outer
-    grad = free_single_layer_gradient(outer, x)
+    values, grad = free_layer_field(outer, x, np.eye(outer.n))
     return {"s_plain": -(s_free + 0.5 * (corr + corr.T) * w),
             "kstar_plain": k_free + dnu * w,
             "outer_trace_matrix": outer_trace_kernel(green, x) * w,
-            "values_map": free_single_layer_eval(outer, x),
-            "flux_map": np.einsum("pjd,pd->pj", grad, nu)}
+            "values_map": values,
+            "flux_map": np.einsum("pdj,pd->pj", grad, nu)}
 
 
 def built_operators(ops):
@@ -166,6 +168,56 @@ def test_disk_build_forms_the_outer_table_on_first_use(monkeypatch):
     assert calls == [(INCLUSION.n, INCLUSION.n)]
     ops.outer_trace_matrix, ops.background_maps, ops.outer_trace_matrix
     assert calls == [(INCLUSION.n, INCLUSION.n), (outer.n, INCLUSION.n)]
+
+
+@pytest.mark.parametrize("outer", ["disk", "ellipse"])
+def test_field_work_counts(outer, monkeypatch):
+    outer = OUTERS[outer]
+    ops = build_scene_operators(InclusionScene(outer, INCLUSION))
+    pts = make_ellipse((0.1, -0.05), 0.75, 0.58, 200).nodes  # P, J, N differ
+    phi = np.cos(INCLUSION.t)
+    distances, solves, tables = [], [], []
+    distance, solve, require = (geometry.distance_to_boundary,
+                                NumericGreen.neumann_solve, DiskGreen._require)
+    table = quadrature.pair_table
+
+    def counting_distance(curve, x):
+        distances.append(curve)
+        return distance(curve, x)
+
+    def counting_require(self, *args):
+        distances.append(self.outer)  # the disk's closed-form distance
+        return require(self, *args)
+
+    def counting_solve(self, flux):
+        solves.append(np.shape(flux))
+        return solve(self, flux)
+
+    def recording(x, y):
+        tables.append((len(x), len(y)))
+        return table(x, y)
+
+    monkeypatch.setattr(geometry, "distance_to_boundary", counting_distance)
+    monkeypatch.setattr(layers, "distance_to_boundary", counting_distance)
+    monkeypatch.setattr(DiskGreen, "_require", counting_require)
+    monkeypatch.setattr(NumericGreen, "neumann_solve", counting_solve)
+    for module in (quadrature, green_module):
+        monkeypatch.setattr(module, "pair_table", recording)
+    tracemalloc.start()
+    try:
+        ops.field(pts, phi, np.sin(outer.t), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert distances == [INCLUSION, outer]
+    p, j, n = len(pts), INCLUSION.n, outer.n
+    if outer.kind == "circle":
+        assert solves == [] and sorted(tables) == sorted([(p, n), (p, j)])
+    else:
+        assert solves == [(n, 1)]
+        assert sorted(tables) == sorted([(p, n), (p, j), (n, j), (p, n)])
+    # a points x inclusion x outer array alone would take p j n 8 bytes
+    assert peak <= 12 * 8 * (p * j + n * j + p * n) < p * j * n * 8
 
 
 STABILITY = """

@@ -18,9 +18,8 @@ import pytest
 
 from npeit.geometry import make_circle, make_ellipse, make_star
 from npeit.quadrature import (
+    free_layer_field,
     free_self_matrices,
-    free_single_layer_eval,
-    free_single_layer_gradient,
     log_weights,
 )
 
@@ -117,7 +116,7 @@ class TestFreeSingleLayer:
         g = np.cos(3 * c.t)
         trace = free_single_layer_self(c) @ g
         pts = 0.9 * c.nodes  # radius 0.45, eleven node spacings inside
-        inside = free_single_layer_eval(c, pts) @ g
+        inside = free_layer_field(c, pts, g)[0]
         # interior closed form: -(r/2m) (rho/r)^m cos(m theta)
         rho = 0.45
         expect = -(0.5 / 6) * (rho / 0.5) ** 3 * np.cos(3 * c.t)
@@ -129,13 +128,13 @@ class TestFreeSingleLayer:
         rng = np.random.default_rng(3)
         g = rng.standard_normal(128)
         pts = np.array([[0.2, 0.1], [-0.3, 0.25]])
-        grad = np.einsum("pjd,j->pd", free_single_layer_gradient(c, pts), g)
+        grad = free_layer_field(c, pts, g)[1]
         h = 1e-6
         for d in range(2):
             e = np.zeros(2)
             e[d] = h
-            up = free_single_layer_eval(c, pts + e) @ g
-            dn = free_single_layer_eval(c, pts - e) @ g
+            up = free_layer_field(c, pts + e, g)[0]
+            dn = free_layer_field(c, pts - e, g)[0]
             assert np.allclose(grad[:, d], (up - dn) / (2 * h), atol=1e-8)
 
 

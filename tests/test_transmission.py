@@ -17,6 +17,7 @@ conductivity 1) with data ``cos t`` pins frozen values:
 
 import dataclasses
 import logging
+import re
 import warnings
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from npeit.disk_oracle import (
     oracle_limit_trace_coefficient,
     oracle_transmission_mode,
 )
-from npeit.exceptions import SolverError
+from npeit.exceptions import EvaluationDomainError, SolverError
 from npeit.experiments import build_operators
 from npeit.geometry import InclusionScene, make_circle, make_ellipse, make_star
 from npeit.green import NumericGreen
@@ -92,8 +93,8 @@ class TestBackground:
         bg = solve_background(ops, cos_data(ops))
         pts = np.array([[0.3, 0.2], [-0.1, -0.4], [0.0, 0.0]])
         expect = pts[:, 0]  # u0 = x for data cos(theta) at k0 = 1
-        assert np.max(np.abs(bg.evaluate(pts) - expect)) <= 1e-13
-        grad = bg.gradient(pts)
+        values, grad = ops.field(pts, 0, bg.psi, bg.constant)
+        assert np.max(np.abs(values - expect)) <= 1e-13
         assert np.max(np.abs(grad - [1.0, 0.0])) <= 1e-12
 
 
@@ -127,7 +128,38 @@ class TestTransmission:
         assert sol.flux_matching_residual() <= 1e-12
         mode = oracle_transmission_mode(1, 3.0, 1.0, 0.5)
         pts = np.array([[0.2, 0.1], [0.0, 0.3], [0.7, 0.0], [-0.1, -0.75]])
-        assert np.max(np.abs(sol.evaluate(pts) - mode.field(pts))) <= 1e-11
+        assert np.max(np.abs(sol.field(pts)[0] - mode.field(pts))) <= 1e-11
+        # a ladder gives one column per contrast
+        values, grads = solve_transmission(ops, cos_data(ops), [3.0, 10.0]).field(pts)
+        assert values.shape == (4, 2) and grads.shape == (4, 2, 2)
+        assert np.max(np.abs(values[:, 0] - sol.field(pts)[0])) <= 1e-14
+        assert np.max(np.abs(grads[..., 0] - sol.field(pts)[1])) <= 1e-14
+
+    def test_fields_keep_off_the_outer_curve(self, ops):
+        # three outer spacings (0.147) inside the unit circle the
+        # trapezoidal layers still hold; closer in they drift (2.2e-5 in the
+        # value at r = 0.95, 0.77 in the background gradient at r = 0.99),
+        # so every field rejects such points, naming the first
+        sol = solve_transmission(ops, cos_data(ops), 3.0)
+        lim = solve_limit(ops, cos_data(ops), "grounded")
+        bg = sol.background
+        mode = oracle_transmission_mode(1, 3.0, 1.0, 0.5)
+        inside = np.array([[0.85, 0.0], [0.0, -0.85]])
+        assert np.max(np.abs(sol.field(inside)[0] - mode.field(inside))) <= 1e-10
+        margin = 3.0 * ops.scene.outer.max_spacing()
+        calls = (sol.field, lim.field,
+                 lambda x: ops.field(x, 0, bg.psi, bg.constant))
+        for r in (0.95, 0.99):
+            pts = np.array([[0.2, 0.0], [0.0, r], [r, 0.0]])
+            message = (f"evaluation points: {tuple(pts[1])} is within "
+                       f"{margin:.3g} of the outer boundary")
+            for call in calls:
+                with pytest.raises(EvaluationDomainError, match=re.escape(message)):
+                    call(pts)
+        # the background alone is smooth across the inclusion curve
+        on_curve = np.array([[0.5, 0.0], [0.0, 0.0]])
+        assert np.max(np.abs(ops.field(on_curve, 0, bg.psi, bg.constant)[0]
+                             - on_curve[:, 0])) <= 1e-13
 
     def test_no_contrast_returns_background(self, ops):
         sol = solve_transmission(ops, cos_data(ops), 1.0)
@@ -208,9 +240,28 @@ class TestLimits:
         n_probe, rr, h = 128, 0.8, 1e-5
         th = np.linspace(0, 2 * np.pi, n_probe, endpoint=False)
         ring = np.column_stack([np.cos(th), np.sin(th)])
-        dn = (lim.evaluate((rr + h) * ring) - lim.evaluate((rr - h) * ring)) / (2 * h)
+        dn = (lim.field((rr + h) * ring)[0] - lim.field((rr - h) * ring)[0]) / (2 * h)
         flux = np.sum(dn) * 2 * np.pi * rr / n_probe
         assert flux == pytest.approx(2 * np.pi, rel=1e-6)
+        # and from the gradient, to the solve's accuracy
+        grad = lim.field(rr * ring)[1]
+        flux = np.sum(grad * ring) * 2 * np.pi * rr / n_probe
+        assert flux == pytest.approx(lim.beta, rel=1e-12)
+
+    def test_limit_gradient_matches_fd(self, offset_ops):
+        t = offset_ops.scene.outer.t
+        f = 1.0 + np.cos(t) + 0.3 * np.sin(2 * t)
+        pts = np.array([[-0.3, 0.2], [0.0, -0.6], [0.75, 0.1], [-0.5, -0.4]])
+        h = 1e-6
+        for kind in ("grounded", "conductor"):
+            lim = solve_limit(offset_ops, f, kind)
+            values, grad = lim.field(pts)
+            assert values.shape == (4,) and grad.shape == (4, 2)
+            for d in range(2):
+                e = np.zeros(2)
+                e[d] = h
+                fd = (lim.field(pts + e)[0] - lim.field(pts - e)[0]) / (2 * h)
+                assert np.max(np.abs(grad[:, d] - fd)) <= 1e-8
 
     def test_zero_mean_traces(self, offset_ops):
         f = cos_data(offset_ops)
