@@ -157,6 +157,8 @@ def run_sweep(config: ExperimentConfig, out_dir) -> SweepResult:
     high-contrast limits; writes ``sweep.csv``.
 
     The ladder is one block solve, and the limits share its background.
+    ``grad_ratio`` measures the gradient bound with the converged discrete
+    Steklov constant of :func:`trace_constant`, with no safety factor.
 
     A solver failure, or a non-finite result at some ladder point,
     flushes the rows before it with a ``# aborted`` marker line and

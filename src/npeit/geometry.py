@@ -136,7 +136,7 @@ class BoundaryCurve:
         if unsure.any():
             i = int(np.argmax(unsure))
             raise IndeterminatePointError(
-                f"point {tuple(pts[i])} is within {d[i]:.3e} of the curve; "
+                f"point {tuple(pts[i].tolist())} is within {d[i]:.3e} of the curve; "
                 "inside/outside is indeterminate at this resolution"
             )
         return bool(inside[0]) if x.ndim == 1 else inside

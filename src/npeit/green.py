@@ -79,17 +79,18 @@ class DiskGreen:
 
     def _require(self, pts, what, margin=0.0):
         rho = np.hypot(*(pts - self.center).T)
-        if np.any(rho > self.radius * (1 + 1e-12)):
+        outside = rho > self.radius * (1 + 1e-12)
+        bad = outside | (rho > self.radius - margin) if margin else outside
+        if bad.any():
+            i = int(np.argmax(bad))
+            p = tuple(pts[i].tolist())
+            if outside[i]:
+                raise EvaluationDomainError(
+                    f"{what}: {p} is outside the closed outer disk (radius "
+                    f"{rho[i]:.6g} > {self.radius:.6g})")
             raise EvaluationDomainError(
-                f"{what} outside the closed outer disk (max radius "
-                f"{np.max(rho):.6g} > {self.radius:.6g})"
-            )
-        near = rho > self.radius - margin
-        if margin and near.any():
-            raise EvaluationDomainError(
-                f"{what}: {tuple(pts[int(np.argmax(near))])} is within "
-                f"{margin:.3g} of the outer boundary; the trapezoidal rule "
-                "is inaccurate there")
+                f"{what}: {p} is within {margin:.3g} of the outer boundary; "
+                "the trapezoidal rule is inaccurate there")
 
     def _require_far_inside(self, pts, what):
         self._require(pts, what, _EVAL_MARGIN_SPACINGS * self.outer.max_spacing())
@@ -251,11 +252,11 @@ class NumericGreen:
         d, inside, unsure = located or self.outer.locate(pts)
         bad = unsure | ~inside | (d < margin)
         if bad.any():
-            p = pts[int(np.argmax(bad))]
+            p = tuple(pts[bad][0].tolist())
             if not self.outer.contains(p):
-                raise EvaluationDomainError(f"{what}: {tuple(p)} is outside the domain")
+                raise EvaluationDomainError(f"{what}: {p} is outside the domain")
             raise EvaluationDomainError(
-                f"{what}: {tuple(p)} is within {margin:.3g} of the outer "
+                f"{what}: {p} is within {margin:.3g} of the outer "
                 "boundary; the numeric kernel is inaccurate there"
             )
 

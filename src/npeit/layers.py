@@ -143,7 +143,7 @@ class SceneOperators:
             near = distance_to_boundary(curve, pts) < margin
             if near.any():
                 raise EvaluationDomainError(
-                    f"evaluation point {tuple(pts[int(np.argmax(near))])} is "
+                    f"evaluation point {tuple(pts[near][0].tolist())} is "
                     f"within {margin:.3g} of the source curve; move away or "
                     "refine the grid")
         self.green._require_far_inside(pts, "evaluation points")

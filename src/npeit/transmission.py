@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import SolverError
 from .geometry import InclusionScene
@@ -366,46 +365,44 @@ def trace_distance(outer, tr_a: np.ndarray, tr_b: np.ndarray):
     return np.sqrt(outer.weights @ (a - b) ** 2)
 
 
-def trace_constant(ops: SceneOperators, n_harmonics: int = 12) -> float:
+def trace_constant(ops: SceneOperators) -> float:
     """Constant ``C0`` with ``|w|_{L2(outer)} <= C0 |grad w|_{L2}`` over
-    the region between the curves, for ``w`` with mean-free outer trace.
+    the region between the curves, for ``w`` with mean-free outer trace:
+    the converged discrete Steklov constant, with no safety factor.
 
-    The extremal fields are harmonic with an insulated inclusion
-    (zero normal derivative on its boundary); the constant is the
-    reciprocal square root of the smallest nonzero Steklov value of
-    that configuration.  Concentric circles have the closed form
-    ``C0 = 1 / sqrt(min_m sigma_m)`` with
-    ``sigma_0 = 1/(rho ln(rho/r0))`` and
-    ``sigma_m = (m/rho) (1 - s^{2m}) / (1 + s^{2m})``, ``s = r0/rho``.
-    Otherwise the constant is estimated by Rayleigh-Ritz on insulated
-    solves over a Fourier family of outer Neumann loads; the restriction
-    underestimates the supremum, so a 1.5 safety factor is applied
-    (recorded in the returned value).
-    """
-    scene = ops.scene
-    outer, curve = scene.outer, scene.inclusion
-    if (outer.kind == "circle" and curve.kind == "circle"
-            and np.allclose(outer.center, curve.center, atol=1e-14)):
-        rho, r0 = float(outer.params[0]), float(curve.params[0])
-        s = r0 / rho
-        sigma = 1.0 / (rho * math.log(rho / r0))
-        for m in range(1, n_harmonics + 1):
-            sigma = min(sigma, (m / rho) * (1 - s ** (2 * m)) / (1 + s ** (2 * m)))
-        return 1.0 / math.sqrt(sigma)
-
-    # cos(m t), sin(m t) for m = 1 .. n_harmonics, one load per column
-    mt = np.outer(outer.t, np.arange(1, n_harmonics + 1))
-    loads = np.stack([np.cos(mt), np.sin(mt)], axis=2).reshape(outer.n, -1)
-    bg = solve_background(ops, scene.k0 * loads)
-    # cancel the inclusion flux: exterior-side layer flux is
-    # (1/2 + K*) psi, i.e. the lam = -1/2 second-kind problem
-    psi = _solve_second_kind(ops, -0.5, bg.flux)
-    traces = bg.trace + ops.outer_trace(psi)
-    weighted = outer.weights[:, None] * traces
-    e, t_gram = loads.T @ weighted, traces.T @ weighted
-    theta = scipy.linalg.eigh(0.5 * (t_gram + t_gram.T), 0.5 * (e + e.T),
-                              eigvals_only=True)
-    return 1.5 * math.sqrt(float(np.max(theta)))
+    ``C0^2`` is the top Rayleigh-Ritz value of ``|w|^2 / |grad w|^2`` on
+    the insulated fields (no flux into the inclusion) of the outer loads
+    ``cos(m t)``, ``sin(m t)``, ``m = 1..2M``, one block from ``M = 12``.
+    It is returned once harmonics ``1..M`` give it to 1e-12 relative;
+    else ``M`` doubles, up to the grid's order ``m < n/2``, where an
+    unconverged value is returned with a warning."""
+    outer = ops.scene.outer
+    cap = (outer.n - 1) // 2
+    top = min(24, cap)
+    while True:
+        # cos(m t), sin(m t) for m = 1 .. top, one load per column
+        mt = np.outer(outer.t, np.arange(1, top + 1))
+        loads = np.stack([np.cos(mt), np.sin(mt)], axis=2).reshape(outer.n, -1)
+        bg = solve_background(ops, ops.scene.k0 * loads)
+        # cancel the inclusion flux: exterior-side layer flux is
+        # (1/2 + K*) psi, i.e. the lam = -1/2 second-kind problem
+        traces = bg.trace + ops.outer_trace(_solve_second_kind(ops, -0.5, bg.flux))
+        weighted = outer.weights[:, None] * traces
+        e, t_gram = loads.T @ weighted, traces.T @ weighted
+        # T c = theta E c with E = L L^T; the leading block of L^-1 T L^-T
+        # is the problem of the leading harmonics
+        inv = np.linalg.inv(np.linalg.cholesky(0.5 * (e + e.T)))
+        a = inv @ (0.5 * (t_gram + t_gram.T)) @ inv.T
+        half = 2 * (top // 2)
+        theta = np.linalg.eigvalsh(a)[-1]
+        change = abs(1.0 - np.linalg.eigvalsh(a[:half, :half])[-1] / theta)
+        if change <= 1e-12 or top == cap:
+            break
+        top = min(2 * top, cap)
+    if change > 1e-12:
+        log.warning("trace constant unconverged at the grid's resolvable "
+                    "order %d: last relative change %.3e", top, change)
+    return math.sqrt(float(theta))
 
 
 @dataclass(frozen=True)
@@ -413,7 +410,8 @@ class GradientBound:
     """A priori bounds on the difference field ``v = u(k) - u_limit``.
 
     With ``M = |grad u_limit|_{L2(annulus)} + C0 |f|_{L2(outer)} / k0``,
-    the difference field satisfies ``|grad v|_{L2(annulus)} <= M`` and
+    ``C0`` the converged discrete Steklov constant of :func:`trace_constant`
+    (no safety factor), ``|grad v|_{L2(annulus)} <= M`` and
     ``|grad v|_{L2(inclusion)} <= M / sqrt(k)``; ``ratio`` and
     ``annulus_ratio`` report the measured left sides over the bounds
     (one per column of the solution).
@@ -455,9 +453,7 @@ def gradient_bound(ops: SceneOperators, f: np.ndarray, k: float,
     sol = solve_transmission(ops, f, k)
     if limit is None:
         limit = solve_limit(ops, sol.background.f, "grounded", sol.background)
-    if c0 is None:
-        c0 = trace_constant(ops)
-    return sol.gradient_bound(limit, c0)
+    return sol.gradient_bound(limit, trace_constant(ops) if c0 is None else c0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from npeit.exceptions import CurveError
 from npeit.geometry import BoundaryCurve, make_circle, make_ellipse, make_star
 from npeit.layers import SceneOperators
 from npeit.quadrature import free_self_matrices, log_kernel, pair_table
+from npeit.transmission import _solve_second_kind, solve_background
 
 
 class HatForms:
@@ -110,6 +111,35 @@ def mean_free_basis(ops) -> np.ndarray:
     v /= np.linalg.norm(v)
     v[0] += 1.0
     return (np.eye(len(v)) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
+
+
+def insulated_trace_constant(rho: float, r0: float) -> float:
+    """Trace constant ``C0`` of concentric circles with an insulated
+    inclusion: ``1 / sqrt(min_{m>=1} (m/rho) (1 - s^{2m}) / (1 + s^{2m}))``,
+    ``s = r0/rho``.  A mean-free outer trace has no radial (``m = 0``)
+    mode, so no ``1/(rho ln(rho/r0))`` term enters.  The quotient grows
+    with ``m`` once ``s^{2m}`` is small, so ``m <= 200`` holds the
+    minimum for every ``s < 0.99``."""
+    s2 = (r0 / rho) ** 2
+    return 1.0 / math.sqrt(min((m / rho) * (1 - s2**m) / (1 + s2**m)
+                               for m in range(1, 201)))
+
+
+def all_harmonic_trace_constant(ops) -> float:
+    """Top Rayleigh-Ritz value of ``|w|^2_{L2(outer)} / |grad w|^2`` over
+    the insulated fields of every outer load ``cos(m t)``, ``sin(m t)``
+    with ``m < n/2``, by one generalized scipy ``eigh``: the discrete
+    Steklov constant that ``trace_constant`` truncates."""
+    outer = ops.scene.outer
+    mt = np.outer(outer.t, np.arange(1, (outer.n - 1) // 2 + 1))
+    loads = np.column_stack([np.cos(mt), np.sin(mt)])
+    bg = solve_background(ops, ops.scene.k0 * loads)
+    traces = bg.trace + ops.outer_trace(_solve_second_kind(ops, -0.5, bg.flux))
+    weighted = outer.weights[:, None] * traces
+    e, t = loads.T @ weighted, traces.T @ weighted
+    theta = scipy.linalg.eigh(0.5 * (t + t.T), 0.5 * (e + e.T),
+                              eigvals_only=True)
+    return math.sqrt(float(theta[-1]))
 
 
 def energy_quotient(ops, g: np.ndarray) -> float:

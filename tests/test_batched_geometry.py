@@ -115,7 +115,7 @@ def ref_contains(curve, x) -> bool:
     d = ref_distance(curve, x)
     if d <= curve.max_spacing() * GUARD_FACTOR:
         raise IndeterminatePointError(
-            f"point {tuple(x)} is within {d:.3e} of the curve; "
+            f"point {tuple(x.tolist())} is within {d:.3e} of the curve; "
             "inside/outside is indeterminate at this resolution"
         )
     return ref_contains_analytic(curve, x)
@@ -125,10 +125,10 @@ def ref_require_far_inside(outer, pts, what):
     margin = MARGIN_SPACINGS * outer.max_spacing()
     for p in pts:
         if not ref_contains(outer, p):
-            raise EvaluationDomainError(f"{what}: {tuple(p)} is outside the domain")
+            raise EvaluationDomainError(f"{what}: {tuple(p.tolist())} is outside the domain")
         if ref_distance(outer, p) < margin:
             raise EvaluationDomainError(
-                f"{what}: {tuple(p)} is within {margin:.3g} of the outer "
+                f"{what}: {tuple(p.tolist())} is within {margin:.3g} of the outer "
                 "boundary; the numeric kernel is inaccurate there"
             )
 
@@ -138,7 +138,7 @@ def ref_guard(source, pts):
     for p in pts:
         if ref_distance(source, p) < margin:
             raise EvaluationDomainError(
-                f"evaluation point {tuple(p)} is within {margin:.3g} of "
+                f"evaluation point {tuple(p.tolist())} is within {margin:.3g} of "
                 "the source curve; move away or refine the grid"
             )
 

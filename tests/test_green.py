@@ -5,6 +5,8 @@ Key frozen value: the unit-disk kernel with the source at the center is
 ``ln|x| / (2 pi)``, giving ``-0.11031780007632582`` at ``x = (1/2, 0)``.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,15 @@ class TestDiskGreen:
             self.outer, make_circle((0.1, 0.0), 0.3, 64)), self.green)
         with pytest.raises(EvaluationDomainError, match="closed outer disk"):
             ops.field([[1.5, 0.0]], np.ones(64))
+        # the first offending point is named, not the largest radius
+        for pts, named in (([[-0.5, 0.0], [1.5, 0.0], [0.0, 2.0]],
+                            "(1.5, 0.0) is outside the closed outer disk "
+                            "(radius 1.5 > 1)"),
+                           ([[-0.5, 0.0], [0.0, 0.99], [2.0, 0.0]],
+                            "(0.0, 0.99) is within")):
+            with pytest.raises(EvaluationDomainError,
+                               match=re.escape("evaluation points: " + named)):
+                ops.field(pts, np.ones(64))
         with pytest.raises(EvaluationDomainError):
             outer_trace_kernel(self.green, [[0.0, 1.2]])
 

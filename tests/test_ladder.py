@@ -96,7 +96,7 @@ class TestBatchedLadder:
         f, ks = load(scene_ops), ladder()
         batch = solve_transmission(scene_ops, f, ks)
         limit = solve_limit(scene_ops, batch.background.f, "grounded")
-        c0 = trace_constant(scene_ops, n_harmonics=6)
+        c0 = trace_constant(scene_ops)
         bound = batch.gradient_bound(limit, c0)
         assert np.all(np.isfinite(bound.ratio))
         for j, k in enumerate(ks):

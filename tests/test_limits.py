@@ -153,10 +153,10 @@ def test_sweep_makes_two_limit_solves_on_one_pencil(tmp_path, monkeypatch):
     assert len(limits) == 2
     grounded, conductor = limits
     assert grounded.beta != 0.0 and conductor.beta == 0.0
-    # one pencil, of size n (past n/2 its block is every nodal value), and
-    # the trace constant's 24 x 24 problem
+    # one pencil, of size n (past n/2 its block is every nodal value); the
+    # trace constant makes no generalized eigh of its own
     assert calls["pencils"] == [conductor.ops]
-    assert calls["generalized"] == [config.n, 24]
+    assert calls["generalized"] == [config.n]
 
     # the bound against the conductor is the bound against the grounded
     # limit of the mean-free data, which differs from it by a constant
@@ -172,7 +172,7 @@ def test_sweep_makes_two_limit_solves_on_one_pencil(tmp_path, monkeypatch):
 def test_disk_sweep_factors_no_dense_matrix(tmp_path, monkeypatch):
     # the shipped off-centre disk at n = 256: the outer Neumann solve is
     # closed form (no LU) and the pencil's Rayleigh-Ritz problems are
-    # smaller than n; the last generalized eigh is the trace constant's
+    # smaller than n; the trace constant adds no generalized eigh
     text = (Path(__file__).resolve().parents[1] / "configs"
             / "adjudication.cfg").read_text().replace("n = 160", "n = 256")
     config = parse_config(text)
@@ -185,8 +185,8 @@ def test_disk_sweep_factors_no_dense_matrix(tmp_path, monkeypatch):
     run_sweep(config, tmp_path)
     monkeypatch.undo()
     assert len(calls["pencils"]) == 1 and calls["standard"] == []
-    *pencil, trace = calls["generalized"]
-    assert pencil and max(pencil) < config.n and trace == 24
+    pencil = calls["generalized"]
+    assert pencil and max(pencil) < config.n
 
 
 def test_numeric_kernel_sweep_makes_no_point_solves(tmp_path, monkeypatch):

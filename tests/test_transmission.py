@@ -50,7 +50,12 @@ from npeit.transmission import (
     trace_distance,
 )
 
-from references import HatForms, derivative_norm_ratios
+from references import (
+    HatForms,
+    all_harmonic_trace_constant,
+    derivative_norm_ratios,
+    insulated_trace_constant,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -151,7 +156,7 @@ class TestTransmission:
                  lambda x: ops.field(x, 0, bg.psi, bg.constant))
         for r in (0.95, 0.99):
             pts = np.array([[0.2, 0.0], [0.0, r], [r, 0.0]])
-            message = (f"evaluation points: {tuple(pts[1])} is within "
+            message = (f"evaluation points: {tuple(pts[1].tolist())} is within "
                        f"{margin:.3g} of the outer boundary")
             for call in calls:
                 with pytest.raises(EvaluationDomainError, match=re.escape(message)):
@@ -298,16 +303,13 @@ class TestGradientBound:
         assert trace_constant(ops) == pytest.approx(np.sqrt(5 / 3), rel=1e-12)
 
     def test_ritz_constant_on_round_annulus(self, ops):
-        # an imperceptibly shifted inclusion routes through the general
-        # Fourier-Ritz estimate; the snapshot family contains the exact
-        # extremal mode of the round annulus, so the raw estimate
-        # reproduces the closed form and the padded value sits 1.5x above
+        # an imperceptibly shifted inclusion takes the same Ritz path and
+        # gives the same constant: no jump between concentric and not
         near = InclusionScene(make_circle((0, 0), 1.0, 128),
                               make_circle((1e-9, 0.0), 0.5, 128), 1.0)
         near_ops = build_scene_operators(near)
-        c_ritz = trace_constant(near_ops, n_harmonics=10)
-        c_exact = trace_constant(ops)
-        assert c_ritz == pytest.approx(1.5 * c_exact, rel=1e-6)
+        assert trace_constant(near_ops) == pytest.approx(trace_constant(ops),
+                                                         rel=1e-12)
 
     def test_bound_holds_across_contrasts(self, ops):
         f = cos_data(ops)
@@ -367,11 +369,65 @@ class TestGradientBound:
         s_ops = build_scene_operators(scene)
         f = 2.0 * np.cos(scene.outer.t)
         lim = solve_limit(s_ops, f, "grounded")
-        c0 = trace_constant(s_ops, n_harmonics=8)
+        c0 = trace_constant(s_ops)
         for k in (0.2, 8.0, 200.0):
             gb = gradient_bound(s_ops, f, k, limit=lim, c0=c0)
             assert gb.ratio <= 1.0
             assert gb.annulus_ratio <= 1.0
+
+
+class TestTraceConstant:
+    @pytest.mark.parametrize("r0", [0.2, 0.25, 0.3, 0.5])
+    def test_concentric_insulated_oracle(self, r0):
+        # r0 <= 0.3 is where the grounded radial value 1/(rho ln(rho/r0))
+        # would undercut every insulated mode and overstate C0
+        scene = InclusionScene(make_circle((0, 0), 1.0, 128),
+                               make_circle((0, 0), r0, 128), 1.0)
+        assert trace_constant(build_scene_operators(scene)) == pytest.approx(
+            insulated_trace_constant(1.0, r0), rel=1e-12)
+
+    @staticmethod
+    def converged(ops, caplog) -> float:
+        with caplog.at_level(logging.WARNING, logger="npeit.transmission"):
+            c0 = trace_constant(ops)
+        assert not caplog.records
+        return c0
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("outer", ["disk", "ellipse"])
+    def test_matches_all_harmonic_ritz(self, outer, n, caplog):
+        curve = (make_circle((0, 0), 1.0, n) if outer == "disk"
+                 else make_ellipse((0, 0), 1.2, 0.9, n))
+        scene = InclusionScene(
+            curve, make_star((0.1, 0.05), 0.3, [(3, 0.05)], n), 1.0)
+        ops = build_scene_operators(scene)
+        assert self.converged(ops, caplog) == pytest.approx(
+            all_harmonic_trace_constant(ops), rel=1e-12)
+
+    def test_capped_first_block(self, caplog):
+        # n = 48 resolves m <= 23, so the first block is every harmonic
+        # and its leading half is harmonics 1..11
+        scene = InclusionScene(make_circle((0, 0), 1.0, 48),
+                               make_star((0.1, 0.05), 0.3, [(3, 0.05)], 48), 1.0)
+        ops = build_scene_operators(scene)
+        assert self.converged(ops, caplog) == pytest.approx(
+            all_harmonic_trace_constant(ops), rel=1e-12)
+
+    def test_warns_when_capped_unconverged(self, caplog):
+        # a coarse 5-petal outer star: harmonics 1..11 and 1..23 (all the
+        # grid resolves) still differ by about 2e-9, so the value is the
+        # all-harmonic one and a warning names the last change
+        n = 48
+        scene = InclusionScene(make_star((0, 0), 1.0, [(5, 0.1, 0.0)], n),
+                               make_circle((0.05, 0.0), 0.2, n), 1.0)
+        ops = build_scene_operators(scene)
+        with caplog.at_level(logging.WARNING, logger="npeit.transmission"):
+            c0 = trace_constant(ops)
+        [record] = caplog.records
+        assert "resolvable order 23" in record.getMessage()
+        change = float(record.getMessage().rsplit(" ", 1)[1])
+        assert 1e-12 < change < 1e-6
+        assert c0 == pytest.approx(all_harmonic_trace_constant(ops), rel=1e-12)
 
 
 class TestDerivatives:
